@@ -19,23 +19,14 @@ from .analysis import (
 from .demosaic import DemosaicerId, demosaic
 from .denoise import DenoiseConfig, DenoiserId, denoise_cfa, denoise_rgb
 from .formats import ImageFormatError, read_image, write_image
-from .image import (
-    ColorImage,
-    DomainError,
-    GrayImage,
-    OpponentImage,
-    opponent_to_rgb,
-    rgb_to_opponent,
-)
+from .image import ColorImage, DomainError, GrayImage, opponent_planes, rgb_planes
 from .mosaic import (
     CfaImage,
     HalfPair,
     mosaick,
-    pack_quad,
     read_cfa,
     recombine_cfa,
     split_cfa,
-    unpack_quad,
     write_cfa,
 )
 from .noise import (

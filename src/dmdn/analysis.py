@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demosaic import demosaic
-from .image import ColorImage, DomainError, rgb_to_opponent
+from .image import ColorImage, DomainError, opponent_planes
 from .mosaic import mosaick
 from .noise import NoiseSpec, add_awgn, derive_seed
 
@@ -45,10 +45,7 @@ def cpsnr(estimate: ColorImage, truth: ColorImage) -> float:
     return 10.0 * math.log10(255.0**2 / err)
 
 
-Residual = ColorImage
-
-
-def residual(demosaiced: ColorImage, truth: ColorImage) -> Residual:
+def residual(demosaiced: ColorImage, truth: ColorImage) -> ColorImage:
     """Demosaiced noise: element-wise difference against the ground truth."""
     if demosaiced.planes.shape != truth.planes.shape:
         raise DomainError(
@@ -78,12 +75,14 @@ class NoiseStats:
 
 
 def noise_stats(
-    res: Residual, space: str = "rgb", border_crop: int = 8, max_lag: int = 2
+    res: ColorImage, space: str = "rgb", border_crop: int = 8, max_lag: int = 2
 ) -> NoiseStats:
     """Variance, lagged covariance/correlation and cross-channel structure."""
     space = space.lower()
     if space not in ("rgb", "yc1c2"):
         raise DomainError(f"unknown color space {space!r}")
+    if border_crop < 0 or max_lag < 0:
+        raise DomainError(f"border_crop={border_crop} and max_lag={max_lag} must be >= 0")
     min_size = 2 * border_crop + max(3, max_lag + 1)
     if res.height <= min_size or res.width <= min_size:
         raise DomainError(
@@ -93,7 +92,7 @@ def noise_stats(
     planes = res.planes
     channels = RGB_CHANNELS
     if space == "yc1c2":
-        planes = rgb_to_opponent(res).planes
+        planes = opponent_planes(planes)
         channels = OPPONENT_CHANNELS
     if border_crop:
         planes = planes[:, border_crop:-border_crop, border_crop:-border_crop]

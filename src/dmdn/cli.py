@@ -17,8 +17,8 @@ import csv
 import json
 import math
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from . import formats
@@ -35,6 +35,7 @@ from .pipeline import (
     PipelineSpec,
     preset,
     run_pipeline,
+    stage,
     sweep_k,
 )
 
@@ -80,6 +81,13 @@ def _write_any(path, img) -> None:
         formats.write_image(path, img)
 
 
+def _read_color(path) -> ColorImage:
+    img = formats.read_image(path)
+    if not isinstance(img, ColorImage):
+        raise DomainError(f"{path}: expected a color image")
+    return img
+
+
 def _map_jobs(fn, items, jobs: int) -> list:
     if jobs <= 1:
         return [fn(item) for item in items]
@@ -87,26 +95,39 @@ def _map_jobs(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _write_manifest(out_path: Path, payload: dict) -> Path:
-    manifest_path = out_path.with_name(out_path.stem + ".manifest.json")
-    manifest_path.write_text(json.dumps(payload, indent=2, allow_nan=True) + "\n")
-    return manifest_path
+def _image_seeds(master_seed: int, dataset) -> dict[str, int]:
+    """Per-image noise seeds; an image's sorted position fixes its seed."""
+    return {name: derive_seed(master_seed, i) for i, (name, _) in enumerate(dataset)}
 
 
-def _manifest(args, outputs, **extra) -> dict:
+def _write_csv(path: Path, header: list, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, allow_nan=True) + "\n")
+
+
+def _write_manifest(args, outputs: list[Path], **extra) -> None:
+    """Record argv, resolved flags, outputs and `extra` next to the first output."""
+    config = {
+        k: v
+        for k, v in vars(args).items()
+        if not k.startswith("_") and k not in ("command", "pipeline_command", "func")
+        and (isinstance(v, (int, float, str, bool, list)) or v is None)
+    }
     payload = {
         "command": list(getattr(args, "_argv", [])),
         "subcommand": args.command if args.command != "pipeline" else f"pipeline {args.pipeline_command}",
-        "config": {
-            k: v
-            for k, v in vars(args).items()
-            if not k.startswith("_") and k not in ("command", "pipeline_command", "func")
-            and (isinstance(v, (int, float, str, bool, list)) or v is None)
-        },
+        "config": config,
         "outputs": [str(o) for o in outputs],
+        **extra,
     }
-    payload.update(extra)
-    return payload
+    _write_json(outputs[0].with_name(outputs[0].stem + ".manifest.json"), payload)
 
 
 def _spec_from_args(args, params: PipelineParams) -> PipelineSpec:
@@ -126,145 +147,103 @@ def _finite_or_none(value: float):
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_mosaic(args) -> int:
-    img = formats.read_image(args.input)
-    if not isinstance(img, ColorImage):
-        raise DomainError(f"{args.input}: mosaic needs a color image")
+def cmd_mosaic(args) -> None:
+    img = _read_color(args.input)
     out = Path(args.out)
     write_cfa(out, mosaick(img, args.phase))
-    _write_manifest(out, _manifest(args, [out]))
-    return 0
+    _write_manifest(args, [out])
 
 
-def cmd_noise(args) -> int:
+def cmd_noise(args) -> None:
     img = _read_any(args.input)
-    t0 = time.perf_counter()
-    if args.poisson:
-        noisy = poisson_sample(img, args.seed)
-    else:
-        noisy = add_awgn(img, NoiseSpec(args.sigma, args.seed))
     out = Path(args.out)
-    _write_any(out, noisy)
-    _write_manifest(
-        out,
-        _manifest(args, [out], master_seed=args.seed, timings={"noise": time.perf_counter() - t0}),
-    )
-    return 0
+    with stage({}, "noise") as timings:
+        if args.poisson:
+            noisy = poisson_sample(img, args.seed)
+        else:
+            noisy = add_awgn(img, NoiseSpec(args.sigma, args.seed))
+        _write_any(out, noisy)
+    _write_manifest(args, [out], master_seed=args.seed, timings=timings)
 
 
-def cmd_demosaic(args) -> int:
+def cmd_demosaic(args) -> None:
     cfa = read_cfa(args.input)
-    t0 = time.perf_counter()
-    img = demosaic(cfa, args.method)
     out = Path(args.out)
-    formats.write_image(out, img)
-    _write_manifest(out, _manifest(args, [out], timings={"dm": time.perf_counter() - t0}))
-    return 0
+    with stage({}, "dm") as timings:
+        formats.write_image(out, demosaic(cfa, args.method))
+    _write_manifest(args, [out], timings=timings)
 
 
-def cmd_denoise(args) -> int:
+def cmd_denoise(args) -> None:
     img = _read_any(args.input)
     cfg = DenoiseConfig(sigma=args.sigma)
-    t0 = time.perf_counter()
-    if args.cfa:
-        if not isinstance(img, CfaImage):
-            raise DomainError(f"{args.input}: --cfa requires a CFA input (.meta sidecar)")
-        result = denoise_cfa(img, args.method, cfg)
-    else:
-        if not isinstance(img, ColorImage):
-            raise DomainError(f"{args.input}: denoise needs a color image (or --cfa)")
-        result = denoise_rgb(img, args.method, cfg)
+    if args.cfa and not isinstance(img, CfaImage):
+        raise DomainError(f"{args.input}: --cfa requires a CFA input (.meta sidecar)")
+    if not args.cfa and not isinstance(img, ColorImage):
+        raise DomainError(f"{args.input}: denoise needs a color image (or --cfa)")
     out = Path(args.out)
-    _write_any(out, result)
-    _write_manifest(out, _manifest(args, [out], timings={"dn": time.perf_counter() - t0}))
-    return 0
+    with stage({}, "dn") as timings:
+        denoise = denoise_cfa if args.cfa else denoise_rgb
+        _write_any(out, denoise(img, args.method, cfg))
+    _write_manifest(args, [out], timings=timings)
 
 
-def cmd_pipeline_run(args) -> int:
+def cmd_pipeline_run(args) -> None:
     v = read_cfa(args.input)
-    params = PipelineParams(args.alpha, args.beta, args.sigma1, args.sigma2)
-    spec = _spec_from_args(args, params)
+    spec = _spec_from_args(args, PipelineParams(args.alpha, args.beta, args.sigma1, args.sigma2))
     timings: dict = {}
     out_img = run_pipeline(v, spec, timings=timings)
     out = Path(args.out)
     formats.write_image(out, out_img)
     metrics = {}
     if args.truth:
-        truth = formats.read_image(args.truth)
-        metrics["cpsnr"] = _finite_or_none(cpsnr(out_img, truth))
+        metrics["cpsnr"] = _finite_or_none(cpsnr(out_img, _read_color(args.truth)))
     _write_manifest(
-        out,
-        _manifest(
-            args,
-            [out],
-            components={"dn1": args.dn1, "dm": args.dm, "dn2": args.dn2, "vst": spec.vst},
-            aggregate_metrics=metrics,
-            timings=timings,
-        ),
+        args,
+        [out],
+        components={"dn1": args.dn1, "dm": args.dm, "dn2": args.dn2, "vst": spec.vst},
+        aggregate_metrics=metrics,
+        timings=timings,
     )
-    return 0
 
 
-def cmd_pipeline_preset(args) -> int:
-    params = preset(args.name, args.sigma)
-    print(
-        json.dumps(
-            {
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "sigma1": params.sigma1,
-                "sigma2": params.sigma2,
-            }
-        )
-    )
-    return 0
+def cmd_pipeline_preset(args) -> None:
+    print(json.dumps(asdict(preset(args.name, args.sigma))))
 
 
-def cmd_pipeline_sweep_k(args) -> int:
+def cmd_pipeline_sweep_k(args) -> None:
     dataset = _load_dataset(args.dataset)
-    k_list = [float(k) for k in args.k_list.split(",")]
-    seeds = {name: derive_seed(args.seed, i) for i, (name, _) in enumerate(dataset)}
+    seeds = _image_seeds(args.seed, dataset)
 
     def one(item):
-        index, (name, truth) = item
+        name, truth = item
         noisy = add_awgn(mosaick(truth, args.phase), NoiseSpec(args.sigma, seeds[name]))
-        return sweep_k(noisy, truth, args.dm, args.dn, args.sigma, k_list)
+        return sweep_k(noisy, truth, args.dm, args.dn, args.sigma, args.k_list)
 
-    t0 = time.perf_counter()
-    per_image = _map_jobs(one, list(enumerate(dataset)), args.jobs)
-    elapsed = time.perf_counter() - t0
+    with stage({}, "sweep") as timings:
+        per_image = _map_jobs(one, dataset, args.jobs)
     means = [
         math.fsum(rows[i][1] for rows in per_image) / len(per_image)
-        for i in range(len(k_list))
+        for i in range(len(args.k_list))
     ]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "mean_cpsnr"])
-        for k, value in zip(k_list, means):
-            writer.writerow([k, f"{value:.6f}"])
+    _write_csv(out, ["k", "mean_cpsnr"], ([k, f"{m:.6f}"] for k, m in zip(args.k_list, means)))
     _write_manifest(
-        out,
-        _manifest(
-            args,
-            [out],
-            master_seed=args.seed,
-            per_image_seeds=seeds,
-            per_image_metrics={
-                name: {f"cpsnr_k{k:g}": rows[i][1] for i, k in enumerate(k_list)}
-                for (name, _), rows in zip(dataset, per_image)
-            },
-            aggregate_metrics={f"mean_cpsnr_k{k:g}": m for k, m in zip(k_list, means)},
-            timings={"sweep": elapsed},
-        ),
+        args,
+        [out],
+        master_seed=args.seed,
+        per_image_seeds=seeds,
+        per_image_metrics={
+            name: {f"cpsnr_k{k:g}": rows[i][1] for i, k in enumerate(args.k_list)}
+            for (name, _), rows in zip(dataset, per_image)
+        },
+        aggregate_metrics={f"mean_cpsnr_k{k:g}": m for k, m in zip(args.k_list, means)},
+        timings=timings,
     )
-    return 0
 
 
-def cmd_tune(args) -> int:
+def cmd_tune(args) -> None:
     dataset = _load_dataset(args.dataset)
-    images = [img for _, img in dataset]
     spec = _spec_from_args(args, PipelineParams(0.0, 0.0, 0.0, 0.0))
     cfg = CmaConfig(
         dimension=4,
@@ -272,184 +251,138 @@ def cmd_tune(args) -> int:
         max_evals=args.max_evals,
         seed=args.seed,
     )
-    t0 = time.perf_counter()
-    result = tune_pipeline(images, args.sigma, spec, cfg, phase=args.phase)
-    elapsed = time.perf_counter() - t0
+    with stage({}, "tune") as timings:
+        result = tune_pipeline([img for _, img in dataset], args.sigma, spec, cfg, phase=args.phase)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result_path = out_dir / "tune_result.json"
-    alpha, beta, sigma1, sigma2 = (float(x) for x in result.best_params)
-    result_path.write_text(
-        json.dumps(
-            {
-                "best_params": {
-                    "alpha": alpha,
-                    "beta": beta,
-                    "sigma1": sigma1,
-                    "sigma2": sigma2,
-                },
-                "best_cpsnr": _finite_or_none(result.best_value),
-                "termination": result.termination,
-                "evaluations": result.evaluations,
-                "generations": result.generations,
-            },
-            indent=2,
-        )
-        + "\n"
+    _write_json(
+        result_path,
+        {
+            "best_params": dict(zip(("alpha", "beta", "sigma1", "sigma2"), map(float, result.best_params))),
+            "best_cpsnr": _finite_or_none(result.best_value),
+            "termination": result.termination,
+            "evaluations": result.evaluations,
+            "generations": result.generations,
+        },
     )
     trace_path = out_dir / "trace.csv"
-    with trace_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "best_cpsnr", "mean_cpsnr"])
-        for gen, (best, mean) in enumerate(result.trace):
-            writer.writerow([gen, f"{best:.6f}", f"{mean:.6f}"])
-    _write_manifest(
-        result_path,
-        _manifest(
-            args,
-            [result_path, trace_path],
-            master_seed=args.seed,
-            per_image_seeds={name: derive_seed(args.seed, i) for i, (name, _) in enumerate(dataset)},
-            aggregate_metrics={"best_cpsnr": _finite_or_none(result.best_value)},
-            timings={"tune": elapsed},
-        ),
+    _write_csv(
+        trace_path,
+        ["generation", "best_cpsnr", "mean_cpsnr"],
+        ([gen, f"{best:.6f}", f"{mean:.6f}"] for gen, (best, mean) in enumerate(result.trace)),
     )
-    return 0
+    _write_manifest(
+        args,
+        [result_path, trace_path],
+        master_seed=args.seed,
+        per_image_seeds=_image_seeds(args.seed, dataset),
+        aggregate_metrics={"best_cpsnr": _finite_or_none(result.best_value)},
+        timings=timings,
+    )
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     if args.residual:
-        res = formats.read_image(args.residual)
-        if not isinstance(res, ColorImage):
-            raise DomainError("--residual must be a 3-channel image")
+        res = _read_color(args.residual)
+    elif args.estimate and args.truth:
+        res = residual(_read_color(args.estimate), _read_color(args.truth))
     else:
-        if not (args.estimate and args.truth):
-            raise DomainError("stats needs either --residual or both --estimate and --truth")
-        est = formats.read_image(args.estimate)
-        truth = formats.read_image(args.truth)
-        res = residual(est, truth)
+        raise DomainError("stats needs either --residual or both --estimate and --truth")
     stats = noise_stats(res, space=args.space, border_crop=args.crop, max_lag=args.lags)
 
+    lags = [(s, t) for s in range(args.lags + 1) for t in range(args.lags + 1)]
+    rows = [
+        [kind, name] + [f"{table[c, s, t]:.6f}" for s, t in lags]
+        for kind, table in (("covariance", stats.cov), ("correlation", stats.corr))
+        for c, name in enumerate(stats.channels)
+    ]
+    rows += [[], ["table", "channel", *stats.channels]]
+    rows += [
+        [kind, name] + [f"{table[c, j]:.6f}" for j in range(3)]
+        for kind, table in (("cross_covariance", stats.cross_cov), ("cross_correlation", stats.cross_corr))
+        for c, name in enumerate(stats.channels)
+    ]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lag_cols = [f"({s},{t})" for s in range(args.lags + 1) for t in range(args.lags + 1)]
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["table", "channel"] + lag_cols)
-        for kind, table in (("covariance", stats.cov), ("correlation", stats.corr)):
-            for c, name in enumerate(stats.channels):
-                writer.writerow(
-                    [kind, name] + [f"{table[c, s, t]:.6f}" for s in range(args.lags + 1) for t in range(args.lags + 1)]
-                )
-        writer.writerow([])
-        writer.writerow(["table", "channel"] + list(stats.channels))
-        for kind, table in (("cross_covariance", stats.cross_cov), ("cross_correlation", stats.cross_corr)):
-            for c, name in enumerate(stats.channels):
-                writer.writerow([kind, name] + [f"{table[c, j]:.6f}" for j in range(3)])
+    _write_csv(out, ["table", "channel"] + [f"({s},{t})" for s, t in lags], rows)
     _write_manifest(
-        out,
-        _manifest(
-            args,
-            [out],
-            aggregate_metrics={
-                "variance": [float(v) for v in stats.variance],
-                "sample_count": stats.sample_count,
-                "degenerate": list(stats.degenerate),
-            },
-        ),
+        args,
+        [out],
+        aggregate_metrics={
+            "variance": [float(v) for v in stats.variance],
+            "sample_count": stats.sample_count,
+            "degenerate": list(stats.degenerate),
+        },
     )
-    return 0
 
 
-def cmd_rmse_table(args) -> int:
+def cmd_rmse_table(args) -> None:
     dataset = _load_dataset(args.dataset)
-    sigmas = [float(s) for s in args.sigmas.split(",")]
-    t0 = time.perf_counter()
-    rows = rmse_table([img for _, img in dataset], args.method, sigmas, args.seed, phase=args.phase)
-    elapsed = time.perf_counter() - t0
+    with stage({}, "rmse_table") as timings:
+        rows = rmse_table([img for _, img in dataset], args.method, args.sigmas, args.seed, phase=args.phase)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma", "mean_rmse"])
-        for sigma, value in rows:
-            writer.writerow([sigma, f"{value:.6f}"])
+    _write_csv(out, ["sigma", "mean_rmse"], ([sigma, f"{value:.6f}"] for sigma, value in rows))
     _write_manifest(
-        out,
-        _manifest(
-            args,
-            [out],
-            master_seed=args.seed,
-            per_image_seeds={name: derive_seed(args.seed, i) for i, (name, _) in enumerate(dataset)},
-            aggregate_metrics={f"rmse_sigma{s:g}": v for s, v in rows},
-            timings={"rmse_table": elapsed},
-        ),
+        args,
+        [out],
+        master_seed=args.seed,
+        per_image_seeds=_image_seeds(args.seed, dataset),
+        aggregate_metrics={f"rmse_sigma{s:g}": v for s, v in rows},
+        timings=timings,
     )
-    return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     dataset = _load_dataset(args.dataset)
-    sigmas = [float(s) for s in args.sigmas.split(",")]
-    seeds = {name: derive_seed(args.seed, i) for i, (name, _) in enumerate(dataset)}
+    seeds = _image_seeds(args.seed, dataset)
 
     def run_one(task):
-        index, (name, truth), sigma, preset_name = task
+        name, truth, sigma, preset_name = task
         noisy = add_awgn(mosaick(truth, args.phase), NoiseSpec(sigma, seeds[name]))
         spec = _spec_from_args(args, preset(preset_name, sigma))
         timings: dict = {}
-        value = cpsnr(run_pipeline(noisy, spec, timings=timings), truth)
-        return name, sigma, preset_name, value, timings
+        return cpsnr(run_pipeline(noisy, spec, timings=timings), truth), timings
 
     tasks = [
-        (i, pair, sigma, preset_name)
-        for sigma in sigmas
+        (name, truth, sigma, preset_name)
+        for sigma in args.sigmas
         for preset_name in PRESET_NAMES
-        for i, pair in enumerate(dataset)
+        for name, truth in dataset
     ]
-    t0 = time.perf_counter()
-    results = _map_jobs(run_one, tasks, args.jobs)
-    elapsed = time.perf_counter() - t0
+    with stage({}, "total") as timings:
+        results = _map_jobs(run_one, tasks, args.jobs)
 
-    stage_time: dict = {}
     per_image: dict = {}
     table: dict = {}
-    for name, sigma, preset_name, value, timings in results:
+    for (name, _, sigma, preset_name), (value, task_timings) in zip(tasks, results):
         per_image.setdefault(name, {})[f"{preset_name}_sigma{sigma:g}"] = _finite_or_none(value)
         table.setdefault((sigma, preset_name), []).append(value)
-        for stage, seconds in timings.items():
-            stage_time[stage] = stage_time.get(stage, 0.0) + seconds
+        for key, seconds in task_timings.items():
+            timings[key] = timings.get(key, 0.0) + seconds
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "eval.csv"
     aggregate = {}
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma", "method", "alpha", "beta", "sigma1", "sigma2", "mean_cpsnr"])
-        for sigma in sigmas:
-            for preset_name in PRESET_NAMES:
-                params = preset(preset_name, sigma)
-                mean_value = math.fsum(table[(sigma, preset_name)]) / len(dataset)
-                aggregate[f"{preset_name}_sigma{sigma:g}"] = mean_value
-                writer.writerow(
-                    [sigma, preset_name, params.alpha, params.beta, params.sigma1, params.sigma2, f"{mean_value:.6f}"]
-                )
+    rows = []
+    for sigma in args.sigmas:
+        for preset_name in PRESET_NAMES:
+            params = preset(preset_name, sigma)
+            mean_value = math.fsum(table[(sigma, preset_name)]) / len(dataset)
+            aggregate[f"{preset_name}_sigma{sigma:g}"] = mean_value
+            rows.append(
+                [sigma, preset_name, params.alpha, params.beta, params.sigma1, params.sigma2, f"{mean_value:.6f}"]
+            )
+    csv_path = Path(args.out) / "eval.csv"
+    _write_csv(csv_path, ["sigma", "method", "alpha", "beta", "sigma1", "sigma2", "mean_cpsnr"], rows)
     _write_manifest(
-        csv_path,
-        _manifest(
-            args,
-            [csv_path],
-            master_seed=args.seed,
-            per_image_seeds=seeds,
-            components={"dn1": args.dn1, "dm": args.dm, "dn2": args.dn2},
-            per_image_metrics=per_image,
-            aggregate_metrics=aggregate,
-            timings={"total": elapsed, **stage_time},
-        ),
+        args,
+        [csv_path],
+        master_seed=args.seed,
+        per_image_seeds=seeds,
+        components={"dn1": args.dn1, "dm": args.dm, "dn2": args.dn2},
+        per_image_metrics=per_image,
+        aggregate_metrics=aggregate,
+        timings=timings,
     )
-    return 0
 
 
 def cmd_rerun(args) -> int:
@@ -461,6 +394,33 @@ def cmd_rerun(args) -> int:
 
 
 # -------------------------------------------------------------------- parser
+
+
+def _float_list(text: str) -> list[float]:
+    """Parse a comma-separated list of numbers such as "5,10,20"."""
+    try:
+        return [float(item) for item in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+# Flags several subcommands share; their dest names key manifests' `config`.
+_SHARED_FLAGS = {
+    "input": {"required": True},
+    "dataset": {"required": True},
+    "phase": {"default": "RGGB", "choices": PHASES},
+    "seed": {"type": int, "default": 0},
+    "jobs": {"type": int, "default": 1},
+    "out": {"required": True},
+}
+
+
+def _command(sub, name: str, func, help: str, *shared: str) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=help)
+    for flag in shared:
+        parser.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+    parser.set_defaults(func=func)
+    return parser
 
 
 def _add_component_flags(parser, with_vst=True):
@@ -477,109 +437,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mosaic", help="Bayer-sample a color image")
-    p.add_argument("--input", required=True)
-    p.add_argument("--phase", default="RGGB", choices=PHASES)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_mosaic)
+    _command(sub, "mosaic", cmd_mosaic, "Bayer-sample a color image", "input", "phase", "out")
 
-    p = sub.add_parser("noise", help="add seeded AWGN (or Poisson-sample)")
-    p.add_argument("--input", required=True)
+    p = _command(sub, "noise", cmd_noise, "add seeded AWGN (or Poisson-sample)", "input", "seed", "out")
     p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--poisson", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_noise)
 
-    p = sub.add_parser("demosaic", help="interpolate RGB from a CFA")
-    p.add_argument("--input", required=True)
+    p = _command(sub, "demosaic", cmd_demosaic, "interpolate RGB from a CFA", "input", "out")
     p.add_argument("--method", default="ha", choices=_DEMOSAIC_CHOICES)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_demosaic)
 
-    p = sub.add_parser("denoise", help="denoise a color image (or CFA with --cfa)")
-    p.add_argument("--input", required=True)
+    p = _command(sub, "denoise", cmd_denoise, "denoise a color image (or CFA with --cfa)", "input", "out")
     p.add_argument("--method", default="dct8", choices=_DENOISE_CHOICES)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--cfa", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_denoise)
 
     pipe = sub.add_parser("pipeline", help="two-stage pipeline operations")
     pipe_sub = pipe.add_subparsers(dest="pipeline_command", required=True)
 
-    p = pipe_sub.add_parser("run", help="run the blended pipeline on a CFA")
-    p.add_argument("--input", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--sigma1", type=float, required=True)
-    p.add_argument("--sigma2", type=float, required=True)
+    p = _command(pipe_sub, "run", cmd_pipeline_run, "run the blended pipeline on a CFA", "input", "out")
+    for name in ("--alpha", "--beta", "--sigma1", "--sigma2"):
+        p.add_argument(name, type=float, required=True)
     _add_component_flags(p)
     p.add_argument("--truth", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pipeline_run)
 
-    p = pipe_sub.add_parser("preset", help="print the parameters of a named preset")
+    p = _command(pipe_sub, "preset", cmd_pipeline_preset, "print the parameters of a named preset")
     p.add_argument("--name", required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.set_defaults(func=cmd_pipeline_preset)
 
-    p = pipe_sub.add_parser("sweep-k", help="score DM&kDN over a list of k factors")
-    p.add_argument("--dataset", required=True)
+    p = _command(pipe_sub, "sweep-k", cmd_pipeline_sweep_k, "score DM&kDN over a list of k factors",
+                 "dataset", "phase", "seed", "jobs", "out")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--dm", default="ha", choices=_DEMOSAIC_CHOICES)
     p.add_argument("--dn", default="dct8", choices=_DENOISE_CHOICES)
-    p.add_argument("--k-list", default="1.0,1.1,1.2,1.3,1.4,1.5,1.6,1.7,1.8,1.9")
-    p.add_argument("--phase", default="RGGB", choices=PHASES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pipeline_sweep_k)
+    p.add_argument("--k-list", type=_float_list, default="1.0,1.1,1.2,1.3,1.4,1.5,1.6,1.7,1.8,1.9")
 
-    p = sub.add_parser("tune", help="CMA-ES search for pipeline parameters")
-    p.add_argument("--dataset", required=True)
+    p = _command(sub, "tune", cmd_tune, "CMA-ES search for pipeline parameters",
+                 "dataset", "phase", "seed", "jobs", "out")
     p.add_argument("--sigma", type=float, required=True)
     _add_component_flags(p)
-    p.add_argument("--phase", default="RGGB", choices=PHASES)
     p.add_argument("--max-evals", type=int, default=3000)
     p.add_argument("--population", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("stats", help="residual noise statistics tables")
-    p.add_argument("--residual", default=None)
-    p.add_argument("--estimate", default=None)
-    p.add_argument("--truth", default=None)
+    p = _command(sub, "stats", cmd_stats, "residual noise statistics tables", "out")
+    for name in ("--residual", "--estimate", "--truth"):
+        p.add_argument(name)
     p.add_argument("--space", default="rgb", choices=["rgb", "yc1c2"])
     p.add_argument("--lags", type=int, default=2)
     p.add_argument("--crop", type=int, default=8)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("rmse-table", help="mean demosaicing RMSE per noise level")
-    p.add_argument("--dataset", required=True)
+    p = _command(sub, "rmse-table", cmd_rmse_table, "mean demosaicing RMSE per noise level",
+                 "dataset", "phase", "seed", "out")
     p.add_argument("--method", default="ha", choices=_DEMOSAIC_CHOICES)
-    p.add_argument("--sigmas", default="1,3,5,10,15,20,30,40,50,60")
-    p.add_argument("--phase", default="RGGB", choices=PHASES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_rmse_table)
+    p.add_argument("--sigmas", type=_float_list, default="1,3,5,10,15,20,30,40,50,60")
 
-    p = sub.add_parser("eval", help="preset comparison over a dataset and sigma list")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--sigmas", default="5,10,20,40,50,60")
+    p = _command(sub, "eval", cmd_eval, "preset comparison over a dataset and sigma list",
+                 "dataset", "phase", "seed", "jobs", "out")
+    p.add_argument("--sigmas", type=_float_list, default="5,10,20,40,50,60")
     _add_component_flags(p, with_vst=False)
-    p.add_argument("--phase", default="RGGB", choices=PHASES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("rerun", help="re-execute the command recorded in a manifest")
+    p = _command(sub, "rerun", cmd_rerun, "re-execute the command recorded in a manifest")
     p.add_argument("--manifest", required=True)
-    p.set_defaults(func=cmd_rerun)
 
     return parser
 
@@ -590,13 +507,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._argv = argv
     try:
-        return args.func(args)
-    except (FileNotFoundError, formats.ImageFormatError) as exc:
+        return args.func(args) or 0  # a command returns None on success
+    except (OSError, formats.ImageFormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_DOMAIN if isinstance(exc, DomainError) else EXIT_IO
 
 
 if __name__ == "__main__":

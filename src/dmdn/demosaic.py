@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 from scipy import ndimage
 
-from .image import ColorImage, DomainError
+from .image import ColorImage, coerce_enum
 from .mosaic import CfaImage, channel_index_grid
 
 
@@ -21,15 +21,6 @@ class DemosaicerId(str, Enum):
     BILINEAR = "bilinear"
     HAMILTON_ADAMS = "ha"
     MALVAR = "malvar"
-
-
-def _coerce_id(method) -> DemosaicerId:
-    if isinstance(method, DemosaicerId):
-        return method
-    try:
-        return DemosaicerId(str(method).lower())
-    except ValueError:
-        raise DomainError(f"unknown demosaicer {method!r}") from None
 
 
 def site_masks(cfa: CfaImage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,7 +143,7 @@ def _demosaic_hamilton_adams(cfa: CfaImage) -> np.ndarray:
 
 def demosaic(cfa: CfaImage, method=DemosaicerId.HAMILTON_ADAMS) -> ColorImage:
     """Interpolate a full RGB image from a Bayer CFA."""
-    method = _coerce_id(method)
+    method = coerce_enum(DemosaicerId, method, "demosaicer")
     if method is DemosaicerId.BILINEAR:
         planes = _demosaic_bilinear(cfa)
     elif method is DemosaicerId.MALVAR:

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .image import ColorImage, DomainError, opponent_planes, rgb_planes
+from .image import ColorImage, DomainError, coerce_enum, opponent_planes, rgb_planes
 from .mosaic import CfaImage, HalfPair, recombine_cfa, split_cfa
 
 
@@ -24,15 +24,6 @@ class DenoiserId(str, Enum):
     IDENTITY = "identity"
     DCT8 = "dct8"
     NLMEANS = "nlmeans"
-
-
-def _coerce_id(method) -> DenoiserId:
-    if isinstance(method, DenoiserId):
-        return method
-    try:
-        return DenoiserId(str(method).lower())
-    except ValueError:
-        raise DomainError(f"unknown denoiser {method!r}") from None
 
 
 @dataclass(frozen=True)
@@ -55,8 +46,8 @@ class DenoiseConfig:
                 raise DomainError(f"{name} must be positive")
         if self.patch % 2 == 0 or self.window % 2 == 0:
             raise DomainError("patch and window must be odd")
-        if self.step > self.block:
-            raise DomainError("step must not exceed block")
+        if self.block % self.step:
+            raise DomainError(f"block {self.block} must be a multiple of step {self.step}")
 
 
 def _dct_matrix(n: int) -> np.ndarray:
@@ -136,7 +127,7 @@ def _denoise_nlmeans(opp: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
 
 def denoise_rgb(img: ColorImage, method, cfg: DenoiseConfig) -> ColorImage:
     """Denoise a full RGB image in the YC1C2 space."""
-    method = _coerce_id(method)
+    method = coerce_enum(DenoiserId, method, "denoiser")
     if method is DenoiserId.IDENTITY or cfg.sigma == 0.0:
         return img
     opp = opponent_planes(img.planes)
@@ -153,7 +144,7 @@ def denoise_cfa(cfa: CfaImage, method, cfg: DenoiseConfig) -> CfaImage:
     Splitting rearranges samples without mixing them, so per-sample noise is
     unchanged and the halves are denoised with the same sigma.
     """
-    method = _coerce_id(method)
+    method = coerce_enum(DenoiserId, method, "denoiser")
     if method is DenoiserId.IDENTITY:
         return cfa
     pair = split_cfa(cfa)

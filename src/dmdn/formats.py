@@ -17,10 +17,11 @@ from .image import ColorImage, GrayImage
 
 
 class ImageFormatError(ValueError):
-    """Malformed or unsupported image file; message carries the byte offset."""
+    """Malformed or unsupported image file; a read error's message carries the byte offset."""
 
-    def __init__(self, path, offset: int, message: str):
-        super().__init__(f"{path}: byte {offset}: {message}")
+    def __init__(self, path, offset: int | None, message: str):
+        where = f"{path}: " if offset is None else f"{path}: byte {offset}: "
+        super().__init__(where + message)
         self.path = str(path)
         self.offset = offset
 
@@ -139,14 +140,14 @@ def write_image(path, img: ColorImage | GrayImage) -> None:
         _write_pfm(path, img)
     elif suffix == ".ppm":
         if not isinstance(img, ColorImage):
-            raise ValueError(f"{path}: .ppm requires a ColorImage")
+            raise ImageFormatError(path, None, ".ppm requires a ColorImage")
         _write_ppm(path, img)
     elif suffix == ".pgm":
         if not isinstance(img, GrayImage):
-            raise ValueError(f"{path}: .pgm requires a GrayImage")
+            raise ImageFormatError(path, None, ".pgm requires a GrayImage")
         _write_pgm(path, img)
     else:
-        raise ValueError(f"{path}: unsupported extension {suffix!r} (use .ppm/.pgm/.pfm)")
+        raise ImageFormatError(path, None, f"unsupported extension {suffix!r} (use .ppm/.pgm/.pfm)")
 
 
 def _write_ppm(path: Path, img: ColorImage) -> None:
@@ -172,19 +173,6 @@ def _write_pfm(path: Path, img: ColorImage | GrayImage) -> None:
     path.write_bytes(header + payload)
 
 
-def _parse_meta(text: str) -> dict[str, str]:
-    meta = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"invalid metadata line {line!r}")
-        meta[key.strip()] = value.strip()
-    return meta
-
-
 def write_meta(path, meta: dict[str, str]) -> None:
     """Write the key=value sidecar next to an image (path + '.meta')."""
     side = Path(str(path) + ".meta")
@@ -193,5 +181,18 @@ def write_meta(path, meta: dict[str, str]) -> None:
 
 def read_meta(path) -> dict[str, str]:
     side = Path(str(path) + ".meta")
-    return _parse_meta(side.read_text())
+    try:
+        text = side.read_text()
+    except UnicodeDecodeError as exc:
+        raise ImageFormatError(side, exc.start, "metadata is not text") from None
+    meta = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ImageFormatError(side, None, f"invalid metadata line {line!r}")
+        meta[key.strip()] = value.strip()
+    return meta
 

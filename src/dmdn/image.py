@@ -9,12 +9,23 @@ read-only) so they can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 
 class DomainError(ValueError):
     """Input violates an operation's domain (bad shape, non-finite data, ...)."""
+
+
+def coerce_enum(kind: type[Enum], name, what: str):
+    """The member of the str-valued enum `kind` named `name` (case-insensitive)."""
+    if isinstance(name, kind):
+        return name
+    try:
+        return kind(str(name).lower())
+    except ValueError:
+        raise DomainError(f"unknown {what} {name!r}") from None
 
 
 def _as_readonly_f64(data, ndim: int, what: str) -> np.ndarray:
@@ -85,27 +96,6 @@ class ColorImage:
         return self.planes[2]
 
 
-@dataclass(frozen=True)
-class OpponentImage:
-    """Planar Y, C1, C2 image, shape (3, height, width)."""
-
-    planes: np.ndarray
-
-    def __post_init__(self):
-        planes = _as_readonly_f64(self.planes, 3, "OpponentImage")
-        if planes.shape[0] != 3:
-            raise DomainError(f"OpponentImage: expected 3 planes, got {planes.shape[0]}")
-        object.__setattr__(self, "planes", planes)
-
-    @property
-    def height(self) -> int:
-        return self.planes.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.planes.shape[2]
-
-
 # Orthonormal opponent basis: rows are the Y, C1, C2 directions.  Y is the
 # gray axis (R+G+B)/sqrt(3); C1 and C2 span the chromatic plane.
 OPPONENT_MATRIX = np.array(
@@ -118,23 +108,11 @@ OPPONENT_MATRIX = np.array(
 OPPONENT_MATRIX.flags.writeable = False
 
 
-def rgb_to_opponent(img: ColorImage) -> OpponentImage:
-    """Apply the orthonormal RGB -> YC1C2 transform per pixel."""
-    out = np.einsum("ck,khw->chw", OPPONENT_MATRIX, img.planes)
-    return OpponentImage(out)
-
-
-def opponent_to_rgb(img: OpponentImage) -> ColorImage:
-    """Inverse (transpose) of :func:`rgb_to_opponent`."""
-    out = np.einsum("kc,khw->chw", OPPONENT_MATRIX, img.planes)
-    return ColorImage(out)
-
-
 def opponent_planes(planes: np.ndarray) -> np.ndarray:
-    """RGB -> YC1C2 on a bare (3, h, w) array; used by denoiser internals."""
+    """Apply the orthonormal RGB -> YC1C2 transform per pixel of a (3, h, w) array."""
     return np.einsum("ck,khw->chw", OPPONENT_MATRIX, planes)
 
 
 def rgb_planes(planes: np.ndarray) -> np.ndarray:
-    """YC1C2 -> RGB on a bare (3, h, w) array."""
+    """Inverse (transpose) of :func:`opponent_planes`."""
     return np.einsum("kc,khw->chw", OPPONENT_MATRIX, planes)

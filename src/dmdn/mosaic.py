@@ -1,4 +1,4 @@
-"""Bayer CFA sampling, the half-image split/recombine adapter, and quad packing.
+"""Bayer CFA sampling and the half-image split/recombine adapter.
 
 A CFA image is a single plane where each pixel holds one color sample; the
 phase names the 2x2 block layout by the colors of its top-left corner.  The
@@ -131,35 +131,6 @@ def recombine_cfa(pair: HalfPair, phase: str = "RGGB") -> CfaImage:
     put("B", (pair.first.b + pair.second.b) / 2.0)
     put("G1", pair.first.g)
     put("G2", pair.second.g)
-    return CfaImage(plane, phase)
-
-
-def pack_quad(cfa: CfaImage) -> tuple[GrayImage, GrayImage, GrayImage, GrayImage]:
-    """Rearrange a CFA into four half-size planes in (R, G1, G2, B) order."""
-    layout = _BLOCK_LAYOUT[cfa.phase]
-
-    def site(role):
-        r, c = layout[role]
-        return GrayImage(cfa.plane[r::2, c::2])
-
-    return site("R"), site("G1"), site("G2"), site("B")
-
-
-def unpack_quad(
-    quads: tuple[GrayImage, GrayImage, GrayImage, GrayImage], phase: str = "RGGB"
-) -> CfaImage:
-    """Exact inverse of :func:`pack_quad`."""
-    _check_phase(phase)
-    layout = _BLOCK_LAYOUT[phase]
-    r_img, g1_img, g2_img, b_img = quads
-    h, w = r_img.height, r_img.width
-    for img in (g1_img, g2_img, b_img):
-        if (img.height, img.width) != (h, w):
-            raise DomainError("unpack_quad: quads must share dimensions")
-    plane = np.empty((2 * h, 2 * w), dtype=np.float64)
-    for role, img in zip(("R", "G1", "G2", "B"), (r_img, g1_img, g2_img, b_img)):
-        r, c = layout[role]
-        plane[r::2, c::2] = img.plane
     return CfaImage(plane, phase)
 
 

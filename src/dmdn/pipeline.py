@@ -11,6 +11,7 @@ recommended demosaic-first variant for white noise of known level.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,13 +55,19 @@ class PipelineSpec:
     dm: DemosaicerId = DemosaicerId.HAMILTON_ADAMS
     dn2: DenoiserId = DenoiserId.DCT8
     vst: bool = False
-    denoise_defaults: DenoiseConfig = DenoiseConfig(sigma=0.0)
 
-    def config1(self) -> DenoiseConfig:
-        return replace(self.denoise_defaults, sigma=self.params.sigma1)
 
-    def config2(self) -> DenoiseConfig:
-        return replace(self.denoise_defaults, sigma=self.params.sigma2)
+@contextmanager
+def stage(timings: dict | None, name: str):
+    """Add the wall-clock seconds of the `with` body to `timings[name]`, if given.
+
+    Yields `timings`, so `with stage({}, name) as timings:` starts a record.
+    """
+    clock = time.perf_counter
+    t0 = clock()
+    yield timings
+    if timings is not None:
+        timings[name] = timings.get(name, 0.0) + clock() - t0
 
 
 def run_pipeline(v: CfaImage, spec: PipelineSpec, timings: dict | None = None) -> ColorImage:
@@ -80,24 +87,18 @@ def run_pipeline(v: CfaImage, spec: PipelineSpec, timings: dict | None = None) -
     if p.alpha == 0.0:
         v_tilde = v  # blend degenerates to the input; skip the denoiser
     else:
-        t0 = time.perf_counter()
-        d1 = denoise_cfa(v, spec.dn1, spec.config1())
-        if timings is not None:
-            timings["dn1"] = timings.get("dn1", 0.0) + time.perf_counter() - t0
+        with stage(timings, "dn1"):
+            d1 = denoise_cfa(v, spec.dn1, DenoiseConfig(sigma=p.sigma1))
         v_tilde = CfaImage(p.alpha * d1.plane + (1.0 - p.alpha) * v.plane, v.phase)
 
-    t0 = time.perf_counter()
-    u_dm = demosaic(v_tilde, spec.dm)
-    if timings is not None:
-        timings["dm"] = timings.get("dm", 0.0) + time.perf_counter() - t0
+    with stage(timings, "dm"):
+        u_dm = demosaic(v_tilde, spec.dm)
 
     if p.beta == 0.0:
         u_hat = u_dm
     else:
-        t0 = time.perf_counter()
-        d2 = denoise_rgb(u_dm, spec.dn2, spec.config2())
-        if timings is not None:
-            timings["dn2"] = timings.get("dn2", 0.0) + time.perf_counter() - t0
+        with stage(timings, "dn2"):
+            d2 = denoise_rgb(u_dm, spec.dn2, DenoiseConfig(sigma=p.sigma2))
         u_hat = ColorImage(p.beta * d2.planes + (1.0 - p.beta) * u_dm.planes)
 
     if spec.vst:

@@ -152,6 +152,12 @@ def test_too_small_image_rejected():
         noise_stats(ColorImage(np.zeros((3, 18, 18))), "rgb", border_crop=8)
 
 
+@pytest.mark.parametrize("crop, lag", [(-1, 2), (8, -1)])
+def test_negative_crop_or_lag_rejected(crop, lag):
+    with pytest.raises(DomainError):
+        noise_stats(ColorImage(np.zeros((3, 40, 40))), "rgb", border_crop=crop, max_lag=lag)
+
+
 def test_unit_correlation_on_diagonal_for_nondegenerate():
     res = add_awgn(ColorImage(np.zeros((3, 40, 40))), NoiseSpec(3.0, seed=12))
     stats = noise_stats(res, "yc1c2", border_crop=4)

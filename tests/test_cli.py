@@ -189,10 +189,28 @@ def test_exit_codes(tmp_path, capsys):
     img = tmp_path / "img.ppm"
     formats.write_image(img, make_natural(1, size=16))
     assert run("noise", "--input", img, "--sigma", -5, "--seed", 0, "--out", tmp_path / "o.ppm") == 4
-    # unknown flag -> argparse exits with 2
-    with pytest.raises(SystemExit) as exc:
-        run("demosaic", "--frobnicate")
-    assert exc.value.code == 2
+    assert run("stats", "--residual", img, "--crop", 2, "--lags", -1, "--out", tmp_path / "s.csv") == 4
+    assert run("stats", "--residual", img, "--crop", -1, "--out", tmp_path / "s.csv") == 4
+    cfa = tmp_path / "v.pfm"
+    assert run("mosaic", "--input", img, "--out", cfa) == 0
+    assert run("stats", "--estimate", cfa, "--truth", img, "--out", tmp_path / "s.csv") == 4  # gray estimate
+    # output path the writers cannot serve, malformed sidecar -> I/O error
+    assert run("demosaic", "--input", cfa, "--out", tmp_path / "x.png") == 3
+    assert run("noise", "--input", cfa, "--sigma", 5, "--out", tmp_path / "n.ppm") == 3  # gray CFA as .ppm
+    assert run("demosaic", "--input", cfa, "--out", tmp_path / "x.pgm") == 3  # color result as .pgm
+    for sidecar in (b"phase RGGB\n", b"\xffphase=RGGB\n"):
+        (tmp_path / "v.pfm.meta").write_bytes(sidecar)
+        assert run("demosaic", "--input", cfa, "--out", tmp_path / "x.ppm") == 3
+    # unknown flag or malformed list value -> argparse exits with 2
+    for argv in (
+        ("demosaic", "--frobnicate"),
+        ("eval", "--dataset", tmp_path, "--sigmas", "a", "--out", tmp_path / "e"),
+        ("rmse-table", "--dataset", tmp_path, "--sigmas", "5,", "--out", tmp_path / "r.csv"),
+        ("pipeline", "sweep-k", "--dataset", tmp_path, "--sigma", 5, "--k-list", "1,x", "--out", tmp_path / "k.csv"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
 
 
 def test_rerun_requires_recorded_command(tmp_path):

@@ -36,6 +36,8 @@ def test_config_validation():
         DenoiseConfig(sigma=1.0, block=0)
     with pytest.raises(DomainError):
         DenoiseConfig(sigma=1.0, step=9)
+    with pytest.raises(DomainError):
+        DenoiseConfig(sigma=10.0, block=8, step=3)  # blocks would not tile the overlap grid
 
 
 def test_unknown_denoiser_rejected():

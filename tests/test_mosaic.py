@@ -10,11 +10,9 @@ from dmdn.mosaic import (
     CfaImage,
     HalfPair,
     mosaick,
-    pack_quad,
     read_cfa,
     recombine_cfa,
     split_cfa,
-    unpack_quad,
     write_cfa,
 )
 
@@ -111,22 +109,6 @@ def test_recombine_rejects_mismatched_halves():
         HalfPair(a, b)
 
 
-@pytest.mark.parametrize("phase", PHASES)
-def test_pack_unpack_is_bijection(phase):
-    cfa = random_cfa(5, 6, 10, phase)
-    quads = pack_quad(cfa)
-    assert all(q.plane.shape == (3, 5) for q in quads)
-    back = unpack_quad(quads, phase)
-    assert np.array_equal(back.plane, cfa.plane)
-
-
-def test_pack_quad_of_constant_blocks():
-    cfa = mosaick(constant_image(1, 2, 3, 4, 4), "RGGB")
-    r, g1, g2, b = pack_quad(cfa)
-    assert np.all(r.plane == 1.0) and np.all(b.plane == 3.0)
-    assert np.all(g1.plane == 2.0) and np.all(g2.plane == 2.0)
-
-
 def test_cfa_requires_even_dims_and_known_phase():
     with pytest.raises(DomainError):
         CfaImage(np.zeros((3, 4)))
@@ -156,4 +138,3 @@ def test_split_recombine_round_trip_property(phase, hb, wb, seed):
     rng = np.random.default_rng(seed)
     cfa = CfaImage(rng.uniform(-10, 300, size=(2 * hb, 2 * wb)), phase)
     assert np.array_equal(recombine_cfa(split_cfa(cfa), phase).plane, cfa.plane)
-    assert np.array_equal(unpack_quad(pack_quad(cfa), phase).plane, cfa.plane)
