@@ -404,13 +404,20 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    """Parse an integer >= 1, such as a worker count."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 # Flags several subcommands share; their dest names key manifests' `config`.
 _SHARED_FLAGS = {
     "input": {"required": True},
     "dataset": {"required": True},
     "phase": {"default": "RGGB", "choices": PHASES},
     "seed": {"type": int, "default": 0},
-    "jobs": {"type": int, "default": 1},
+    "jobs": {"type": _positive_int, "default": 1},
     "out": {"required": True},
 }
 

@@ -26,28 +26,26 @@ class DenoiserId(str, Enum):
     NLMEANS = "nlmeans"
 
 
+# Calibrated method constants.  DCT: 8x8 blocks every 4 pixels, AC
+# coefficients below 3 sigma zeroed.  NL-means: 5x5 patches in a 21x21
+# search window, filtering parameter h^2 = 0.40 sigma^2 patch^2.
+BLOCK = 8
+STEP = 4
+THRESHOLD_GAIN = 3.0
+PATCH = 5
+WINDOW = 21
+H_GAIN = 0.40
+
+
 @dataclass(frozen=True)
 class DenoiseConfig:
-    """Assumed noise level plus method knobs (defaults are the calibrated ones)."""
+    """Assumed noise level the denoiser is told."""
 
     sigma: float
-    block: int = 8
-    step: int = 4
-    threshold_gain: float = 3.0
-    patch: int = 5
-    window: int = 21
-    h_gain: float = 0.40
 
     def __post_init__(self):
         if not (self.sigma >= 0):
             raise DomainError(f"sigma must be >= 0, got {self.sigma}")
-        for name in ("block", "step", "patch", "window"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
-        if self.patch % 2 == 0 or self.window % 2 == 0:
-            raise DomainError("patch and window must be odd")
-        if self.block % self.step:
-            raise DomainError(f"block {self.block} must be a multiple of step {self.step}")
 
 
 def _dct_matrix(n: int) -> np.ndarray:
@@ -58,48 +56,38 @@ def _dct_matrix(n: int) -> np.ndarray:
     return mat
 
 
-def _dct8_channel(x: np.ndarray, sigma: float, block: int, step: int, gain: float) -> np.ndarray:
+def _dct8_channel(x: np.ndarray, sigma: float) -> np.ndarray:
     h, w = x.shape
-    pad = block - step
+    pad = BLOCK - STEP
     # Extra right/bottom padding keeps the block-start grid regular for any size.
-    extra_r = (-h) % step
-    extra_c = (-w) % step
+    extra_r = (-h) % STEP
+    extra_c = (-w) % STEP
     xp = np.pad(x, ((pad, pad + extra_r), (pad, pad + extra_c)), mode="reflect")
-    basis = _dct_matrix(block)
-    blocks = sliding_window_view(xp, (block, block))[::step, ::step]
+    basis = _dct_matrix(BLOCK)
+    blocks = sliding_window_view(xp, (BLOCK, BLOCK))[::STEP, ::STEP]
     coeff = np.einsum("ij,rcjk,lk->rcil", basis, blocks, basis)
-    keep = np.abs(coeff) >= gain * sigma
+    keep = np.abs(coeff) >= THRESHOLD_GAIN * sigma
     keep[..., 0, 0] = True  # DC always survives
     est = np.einsum("ji,rcjk,kl->rcil", basis, coeff * keep, basis)
 
     acc = np.zeros_like(xp)
-    cnt = np.zeros_like(xp)
-    phases = block // step
+    phases = BLOCK // STEP
     for pr in range(phases):
         for pc in range(phases):
             sub = est[pr::phases, pc::phases]
             kr, kc = sub.shape[:2]
-            tile = sub.transpose(0, 2, 1, 3).reshape(kr * block, kc * block)
-            r0, c0 = pr * step, pc * step
-            acc[r0 : r0 + kr * block, c0 : c0 + kc * block] += tile
-            cnt[r0 : r0 + kr * block, c0 : c0 + kc * block] += 1.0
-    return (acc / cnt)[pad : pad + h, pad : pad + w]
-
-
-def _denoise_dct8(opp: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
-    return np.stack(
-        [
-            _dct8_channel(chan, cfg.sigma, cfg.block, cfg.step, cfg.threshold_gain)
-            for chan in opp
-        ]
-    )
+            tile = sub.transpose(0, 2, 1, 3).reshape(kr * BLOCK, kc * BLOCK)
+            r0, c0 = pr * STEP, pc * STEP
+            acc[r0 : r0 + kr * BLOCK, c0 : c0 + kc * BLOCK] += tile
+    # Past the padding every pixel lies in exactly phases^2 blocks.
+    return acc[pad : pad + h, pad : pad + w] / phases**2
 
 
 def _denoise_nlmeans(opp: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     y = opp[0]
     h, w = y.shape
-    half = cfg.window // 2
-    h2 = cfg.h_gain * cfg.sigma**2 * cfg.patch**2
+    half = WINDOW // 2
+    h2 = H_GAIN * cfg.sigma**2 * PATCH**2
     two_sigma2 = 2.0 * cfg.sigma**2
     padded = np.pad(opp, ((0, 0), (half, half), (half, half)), mode="reflect")
 
@@ -112,7 +100,7 @@ def _denoise_nlmeans(opp: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
                 continue
             shifted = padded[:, half + di : half + di + h, half + dj : half + dj + w]
             d2 = ndimage.uniform_filter(
-                (y - shifted[0]) ** 2, size=cfg.patch, mode="mirror"
+                (y - shifted[0]) ** 2, size=PATCH, mode="mirror"
             )
             wgt = np.exp(-np.maximum(d2 - two_sigma2, 0.0) / h2)
             wmax = np.maximum(wmax, wgt)
@@ -132,7 +120,7 @@ def denoise_rgb(img: ColorImage, method, cfg: DenoiseConfig) -> ColorImage:
         return img
     opp = opponent_planes(img.planes)
     if method is DenoiserId.DCT8:
-        out = _denoise_dct8(opp, cfg)
+        out = np.stack([_dct8_channel(chan, cfg.sigma) for chan in opp])
     else:
         out = _denoise_nlmeans(opp, cfg)
     return ColorImage(rgb_planes(out))

@@ -58,20 +58,6 @@ class RngStream:
             s.append(out)
         self._s = s
 
-    def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        t = (s0 + s3) & _MASK64
-        result = ((((t << 23) & _MASK64) | (t >> 41)) + s0) & _MASK64
-        u = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= u
-        s3 = ((s3 << 45) & _MASK64) | (s3 >> 19)
-        self._s = [s0, s1, s2, s3]
-        return result
-
     def _u64_array(self, n: int) -> np.ndarray:
         s0, s1, s2, s3 = self._s
         out = [0] * n
@@ -105,9 +91,6 @@ class RngStream:
         z[1::2] = radius * np.sin(angle)
         return z[:n]
 
-    def uniform(self) -> float:
-        return ((self.next_u64() >> 11) + 1) * 2.0**-53
-
 
 def _map_values(img, fn):
     """Apply fn to the raw sample array of any image container."""
@@ -135,9 +118,9 @@ def add_awgn(img, spec: NoiseSpec):
     return _map_values(img, add)
 
 
-def _poisson_small(lam: float, stream: RngStream) -> int:
+def _poisson_small(lam: float, uniform) -> int:
     # Inversion by sequential search; one uniform per sample.
-    u = stream.uniform()
+    u = uniform()
     p = math.exp(-lam)
     k = 0
     cum = p
@@ -150,7 +133,7 @@ def _poisson_small(lam: float, stream: RngStream) -> int:
     return k
 
 
-def _poisson_ptrs(lam: float, stream: RngStream) -> int:
+def _poisson_ptrs(lam: float, uniform) -> int:
     # Hoermann's transformed rejection (PTRS), valid for lam >= 10.
     b = 0.931 + 2.53 * math.sqrt(lam)
     a = -0.059 + 0.02483 * b
@@ -158,8 +141,8 @@ def _poisson_ptrs(lam: float, stream: RngStream) -> int:
     v_r = 0.9277 - 3.6224 / (b - 2.0)
     log_lam = math.log(lam)
     while True:
-        u = stream.uniform() - 0.5
-        v = stream.uniform()
+        u = uniform() - 0.5
+        v = uniform()
         us = 0.5 - abs(u)
         k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
         if us >= 0.07 and v <= v_r:
@@ -172,9 +155,20 @@ def _poisson_ptrs(lam: float, stream: RngStream) -> int:
             return int(k)
 
 
+# Rejection consumes a variable number of uniforms, so Poisson sampling reads
+# them one at a time, in stream order, from bulk draws of this size.
+_POISSON_CHUNK = 1024
+
+
 def poisson_sample(img, seed: int):
     """Sample each output value from Poisson(input value); deterministic per seed."""
     stream = RngStream(seed)
+
+    def draws():
+        while True:
+            yield from stream.uniforms(_POISSON_CHUNK).tolist()
+
+    uniform = draws().__next__
 
     def sample(values: np.ndarray) -> np.ndarray:
         flat = values.ravel()
@@ -185,9 +179,9 @@ def poisson_sample(img, seed: int):
             if lam == 0.0:
                 out[i] = 0.0
             elif lam < 10.0:
-                out[i] = _poisson_small(lam, stream)
+                out[i] = _poisson_small(lam, uniform)
             else:
-                out[i] = _poisson_ptrs(lam, stream)
+                out[i] = _poisson_ptrs(lam, uniform)
         return out.reshape(values.shape)
 
     return _map_values(img, sample)

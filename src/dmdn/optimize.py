@@ -42,14 +42,17 @@ class BoxBounds:
         return self.lower.size
 
 
+# Start at the box centre with step size 0.3 (box-normalized units); stop once
+# the best value gained less than the tolerance over the last 20 generations.
+INITIAL_STEP = 0.3
+STAGNATION_WINDOW = 20
+
+
 @dataclass(frozen=True)
 class CmaConfig:
     dimension: int
     population: int | None = None  # default 4 + floor(3 ln n)
-    initial_step: float = 0.3  # in box-normalized units
-    initial_mean: np.ndarray | None = None  # in original units; default box center
     max_evals: int = 10_000
-    stagnation_window: int = 20
     stagnation_tol: float = 1e-4
     seed: int = 0
 
@@ -59,10 +62,8 @@ class CmaConfig:
         lam = self.resolved_population()
         if lam < 2:
             raise DomainError("population must be >= 2")
-        if self.initial_step <= 0:
-            raise DomainError("initial_step must be positive")
-        if self.stagnation_window < 1:
-            raise DomainError("stagnation_window must be >= 1")
+        if self.max_evals < lam:
+            raise DomainError(f"max_evals {self.max_evals} is below the population {lam}")
 
     def resolved_population(self) -> int:
         if self.population is not None:
@@ -117,11 +118,8 @@ def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig) -> TuneResult:
     chi_n = math.sqrt(n) * (1 - 1 / (4 * n) + 1 / (21 * n * n))
 
     span = bounds.upper - bounds.lower
-    if cfg.initial_mean is None:
-        mean = np.full(n, 0.5)
-    else:
-        mean = (np.asarray(cfg.initial_mean, dtype=np.float64) - bounds.lower) / span
-    sigma = cfg.initial_step
+    mean = np.full(n, 0.5)
+    sigma = INITIAL_STEP
     cov = np.eye(n)
     p_c = np.zeros(n)
     p_s = np.zeros(n)
@@ -130,13 +128,11 @@ def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig) -> TuneResult:
     best_value = -math.inf
     best_params = bounds.lower + mean * span
     trace: list[tuple[float, float]] = []
-    best_history: list[float] = []
     evaluations = 0
     termination = "max_evals"
 
-    # Always run at least one generation; afterwards stop before any
-    # generation that would exceed the evaluation budget.
-    while evaluations == 0 or evaluations + lam <= cfg.max_evals:
+    # Stop before any generation that would exceed the evaluation budget.
+    while evaluations + lam <= cfg.max_evals:
         eigvals, eigvecs = np.linalg.eigh(cov)
         scales = np.sqrt(np.maximum(eigvals, 1e-30))
 
@@ -162,7 +158,6 @@ def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig) -> TuneResult:
         finite = scores[~nan_mask & np.isfinite(scores)]
         gen_mean = float(np.mean(finite)) if finite.size else float(gen_best)
         trace.append((best_value, gen_mean))
-        best_history.append(best_value)
 
         selected = candidates[order[:mu]]
         old_mean = mean
@@ -185,9 +180,8 @@ def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig) -> TuneResult:
 
         sigma *= math.exp((cs / damps) * (np.linalg.norm(p_s) / chi_n - 1))
 
-        window = cfg.stagnation_window
-        if len(best_history) > window:
-            improvement = best_history[-1] - best_history[-1 - window]
+        if len(trace) > STAGNATION_WINDOW:
+            improvement = trace[-1][0] - trace[-1 - STAGNATION_WINDOW][0]
             if math.isnan(improvement):  # inf plateau counts as no improvement
                 improvement = 0.0
             if improvement < cfg.stagnation_tol:

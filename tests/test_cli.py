@@ -191,6 +191,11 @@ def test_exit_codes(tmp_path, capsys):
     assert run("noise", "--input", img, "--sigma", -5, "--seed", 0, "--out", tmp_path / "o.ppm") == 4
     assert run("stats", "--residual", img, "--crop", 2, "--lags", -1, "--out", tmp_path / "s.csv") == 4
     assert run("stats", "--residual", img, "--crop", -1, "--out", tmp_path / "s.csv") == 4
+    data = tmp_path / "data"
+    data.mkdir()
+    formats.write_image(data / "img.ppm", make_natural(1, size=16))
+    assert run("tune", "--dataset", data, "--sigma", 10, "--max-evals", 0, "--out", tmp_path / "t") == 4
+    assert not (tmp_path / "t").exists()  # budget below one generation
     cfa = tmp_path / "v.pfm"
     assert run("mosaic", "--input", img, "--out", cfa) == 0
     assert run("stats", "--estimate", cfa, "--truth", img, "--out", tmp_path / "s.csv") == 4  # gray estimate
@@ -207,6 +212,8 @@ def test_exit_codes(tmp_path, capsys):
         ("eval", "--dataset", tmp_path, "--sigmas", "a", "--out", tmp_path / "e"),
         ("rmse-table", "--dataset", tmp_path, "--sigmas", "5,", "--out", tmp_path / "r.csv"),
         ("pipeline", "sweep-k", "--dataset", tmp_path, "--sigma", 5, "--k-list", "1,x", "--out", tmp_path / "k.csv"),
+        ("eval", "--dataset", tmp_path, "--jobs", 0, "--out", tmp_path / "e"),
+        ("pipeline", "sweep-k", "--dataset", tmp_path, "--sigma", 5, "--jobs", -3, "--out", tmp_path / "k.csv"),
     ):
         with pytest.raises(SystemExit) as exc:
             run(*argv)

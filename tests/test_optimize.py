@@ -27,6 +27,14 @@ def test_bounds_validation():
         BoxBounds(np.zeros((2, 2)), np.ones((2, 2)))
 
 
+def test_config_rejects_budget_below_one_generation():
+    with pytest.raises(DomainError):
+        CmaConfig(dimension=4, max_evals=7)  # population 8
+    with pytest.raises(DomainError):
+        CmaConfig(dimension=2, population=6, max_evals=0)
+    assert CmaConfig(dimension=4, max_evals=8).max_evals == 8
+
+
 def test_default_population_rule():
     assert CmaConfig(dimension=10).resolved_population() == 4 + int(3 * math.log(10))
     assert CmaConfig(dimension=4).resolved_population() == 8
@@ -39,6 +47,16 @@ def test_determinism_per_seed():
     assert np.array_equal(a.best_params, b.best_params)
     assert a.best_value == b.best_value
     assert a.trace == b.trace and a.termination == b.termination
+
+
+def test_sphere_trajectory_matches_recorded_result():
+    # Recorded reference: the generation loop must reproduce it bit for bit.
+    cfg = CmaConfig(dimension=3, max_evals=600, seed=21)
+    result = cmaes_maximize(lambda x: -sphere(x), box(3), cfg)
+    assert result.best_value == -2.260687393631141e-09
+    assert result.evaluations == 378
+    assert result.generations == 54
+    assert result.termination == "stagnation"
 
 
 def test_monotone_transform_invariance_of_candidates():
@@ -101,10 +119,10 @@ def test_all_nan_generation_aborts():
 
 
 def test_stagnation_termination_and_budget():
-    cfg = CmaConfig(dimension=2, max_evals=10_000, seed=2, stagnation_window=10)
+    cfg = CmaConfig(dimension=2, max_evals=10_000, seed=2)
     result = cmaes_maximize(lambda x: 1.0, box(2), cfg)
     assert result.termination == "stagnation"
-    assert result.generations == 11  # window + 1
+    assert result.generations == 21  # window of 20 + 1
     capped = cmaes_maximize(
         lambda x: -sphere(x), box(2), CmaConfig(dimension=2, max_evals=50, seed=2, stagnation_tol=0.0)
     )
