@@ -122,6 +122,7 @@ def _write_manifest(args, outputs: list[Path], **extra) -> None:
     }
     payload = {
         "command": list(getattr(args, "_argv", [])),
+        "cwd": str(Path.cwd()),
         "subcommand": args.command if args.command != "pipeline" else f"pipeline {args.pipeline_command}",
         "config": config,
         "outputs": [str(o) for o in outputs],
@@ -385,12 +386,36 @@ def cmd_eval(args) -> None:
     )
 
 
+# Flags whose values are file or directory paths.
+_PATH_FLAGS = ("--input", "--dataset", "--out", "--truth", "--residual", "--estimate")
+
+
+def _absolute_argv(argv: list[str], cwd: str) -> list[str]:
+    """`argv` with every path-valued flag made absolute against `cwd`.
+
+    Both `--flag value` and `--flag=value` are rewritten, as are the
+    unambiguous prefixes argparse accepts for a path flag (`--dat`).
+    """
+    out = list(argv)
+    for i, token in enumerate(argv):
+        flag, eq, value = token.partition("=")
+        if sum(f.startswith(flag) for f in _PATH_FLAGS) != 1:
+            continue
+        if eq:
+            out[i] = f"{flag}={Path(cwd, value)}"
+        elif i + 1 < len(argv):
+            out[i + 1] = str(Path(cwd, argv[i + 1]))
+    return out
+
+
 def cmd_rerun(args) -> int:
     manifest = json.loads(Path(args.manifest).read_text())
     argv = manifest.get("command")
     if not argv:
         raise DomainError(f"{args.manifest}: manifest has no recorded command")
-    return main(argv)
+    cwd = manifest.get("cwd")
+    # Relative paths were given against the recording's working directory.
+    return main(argv if cwd is None else _absolute_argv(argv, cwd))
 
 
 # -------------------------------------------------------------------- parser

@@ -56,6 +56,11 @@ def _dct_matrix(n: int) -> np.ndarray:
     return mat
 
 
+# The 2-D DCT of a block X is B @ X @ B.T.
+_BASIS = _dct_matrix(BLOCK)
+_BASIS_T = np.ascontiguousarray(_BASIS.T)
+
+
 def _dct8_channel(x: np.ndarray, sigma: float) -> np.ndarray:
     h, w = x.shape
     pad = BLOCK - STEP
@@ -63,24 +68,35 @@ def _dct8_channel(x: np.ndarray, sigma: float) -> np.ndarray:
     extra_r = (-h) % STEP
     extra_c = (-w) % STEP
     xp = np.pad(x, ((pad, pad + extra_r), (pad, pad + extra_c)), mode="reflect")
-    basis = _dct_matrix(BLOCK)
     blocks = sliding_window_view(xp, (BLOCK, BLOCK))[::STEP, ::STEP]
-    coeff = np.einsum("ij,rcjk,lk->rcil", basis, blocks, basis)
-    keep = np.abs(coeff) >= THRESHOLD_GAIN * sigma
-    keep[..., 0, 0] = True  # DC always survives
-    est = np.einsum("ji,rcjk,kl->rcil", basis, coeff * keep, basis)
+    rows, cols = blocks.shape[:2]
+    padded_shape = xp.shape
 
-    acc = np.zeros_like(xp)
-    phases = BLOCK // STEP
-    for pr in range(phases):
-        for pc in range(phases):
-            sub = est[pr::phases, pc::phases]
-            kr, kc = sub.shape[:2]
-            tile = sub.transpose(0, 2, 1, 3).reshape(kr * BLOCK, kc * BLOCK)
-            r0, c0 = pr * STEP, pc * STEP
-            acc[r0 : r0 + kr * BLOCK, c0 : c0 + kc * BLOCK] += tile
-    # Past the padding every pixel lies in exactly phases^2 blocks.
-    return acc[pad : pad + h, pad : pad + w] / phases**2
+    # Two (8, 8, rows * cols) buffers, block index innermost, carry the
+    # transform, the threshold and the inverse, so each 1-D DCT pass over all
+    # blocks is one matmul.  The padded image and the spent buffer are
+    # released early to keep the peak memory low.
+    coeff = np.ascontiguousarray(blocks.transpose(2, 3, 0, 1)).reshape(BLOCK, BLOCK, -1)
+    del xp, blocks
+    tmp = np.matmul(_BASIS, coeff.reshape(BLOCK, -1)).reshape(coeff.shape)  # down columns
+    np.matmul(_BASIS, tmp, out=coeff)  # along rows
+    np.abs(coeff, out=tmp)
+    tmp[0, 0] = np.inf  # DC always survives
+    coeff *= tmp >= THRESHOLD_GAIN * sigma
+    np.matmul(_BASIS_T, coeff, out=tmp)
+    np.matmul(_BASIS_T, tmp.reshape(BLOCK, -1), out=coeff.reshape(BLOCK, -1))
+    del tmp
+
+    # Block (r, c) covers the STEP x STEP tiles (r + a, c + b) for a, b in
+    # {0, 1}: the overlap-add is four shifted adds of quadrant arrays.
+    quads = coeff.reshape(2, STEP, 2, STEP, rows, cols)
+    tiles = np.zeros((STEP, STEP, rows + 1, cols + 1))
+    for a in range(2):
+        for b in range(2):
+            tiles[:, :, a : a + rows, b : b + cols] += quads[a, :, b]
+    acc = tiles.transpose(2, 0, 3, 1).reshape(padded_shape)
+    # Past the padding every pixel lies in exactly four blocks.
+    return acc[pad : pad + h, pad : pad + w] / 4
 
 
 def _denoise_nlmeans(opp: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:

@@ -93,6 +93,41 @@ def test_eval_csv_shape_and_bitexact_rerun(tmp_path, dataset_dir):
     assert before["per_image_metrics"] == after["per_image_metrics"]
 
 
+def test_rerun_from_another_directory_rewrites_original_outputs(tmp_path, dataset_dir, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("eval", "--dataset", "data", "--sigmas", "5", "--seed", 2, "--out", "evalrun") == 0
+    out_dir = tmp_path / "evalrun"
+    before = json.loads((out_dir / "eval.manifest.json").read_text())
+
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    manifest_copy = elsewhere / "m.json"
+    manifest_copy.write_text(json.dumps(before))
+    for p in out_dir.iterdir():
+        p.unlink()
+    monkeypatch.chdir(elsewhere)
+    assert run("rerun", "--manifest", "m.json") == 0
+
+    assert sorted(p.name for p in elsewhere.iterdir()) == ["m.json"]
+    assert (out_dir / "eval.csv").exists()
+    after = json.loads((out_dir / "eval.manifest.json").read_text())
+    assert before["aggregate_metrics"] == after["aggregate_metrics"]
+    assert before["per_image_metrics"] == after["per_image_metrics"]
+
+
+def test_rerun_absolutizes_only_path_flags():
+    from dmdn.cli import _absolute_argv
+
+    argv = [
+        "pipeline", "run", "--input", "v.pfm", "--truth=t.ppm", "--out", "/abs/r.ppm",
+        "--sigma1", "5", "--dn1", "dct8", "--tr", "u.ppm",
+    ]
+    assert _absolute_argv(argv, "/rec") == [
+        "pipeline", "run", "--input", "/rec/v.pfm", "--truth=/rec/t.ppm", "--out", "/abs/r.ppm",
+        "--sigma1", "5", "--dn1", "dct8", "--tr", "/rec/u.ppm",
+    ]
+
+
 def test_eval_jobs_parallel_matches_serial(tmp_path, dataset_dir):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"

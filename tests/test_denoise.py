@@ -1,9 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dmdn.denoise import (
+    BLOCK,
     H_GAIN,
     PATCH,
+    STEP,
+    THRESHOLD_GAIN,
     WINDOW,
     DenoiseConfig,
     DenoiserId,
@@ -12,7 +20,7 @@ from dmdn.denoise import (
     denoise_rgb,
 )
 from dmdn.demosaic import site_masks
-from dmdn.image import ColorImage, DomainError, opponent_planes
+from dmdn.image import ColorImage, DomainError, opponent_planes, rgb_planes
 from dmdn.mosaic import CfaImage, mosaick
 from dmdn.noise import NoiseSpec, add_awgn
 
@@ -89,6 +97,74 @@ def test_dct8_smoothing_is_monotone_in_sigma():
         for s in (5.0, 10.0, 20.0, 40.0)
     ]
     assert all(a >= b for a, b in zip(variances, variances[1:]))
+
+
+def _einsum_dct8_channel(x, sigma):
+    # Reference sliding DCT: unfactored einsum transforms, then each block
+    # added in place and every pixel divided by the number of blocks covering it.
+    h, w = x.shape
+    pad = BLOCK - STEP
+    xp = np.pad(x, ((pad, pad + (-h) % STEP), (pad, pad + (-w) % STEP)), mode="reflect")
+    basis = _dct_matrix(BLOCK)
+    blocks = sliding_window_view(xp, (BLOCK, BLOCK))[::STEP, ::STEP]
+    coeff = np.einsum("ij,rcjk,lk->rcil", basis, blocks, basis)
+    keep = np.abs(coeff) >= THRESHOLD_GAIN * sigma
+    keep[..., 0, 0] = True
+    est = np.einsum("ji,rcjk,kl->rcil", basis, coeff * keep, basis)
+    acc = np.zeros_like(xp)
+    cnt = np.zeros_like(xp)
+    for r in range(est.shape[0]):
+        for c in range(est.shape[1]):
+            acc[r * STEP : r * STEP + BLOCK, c * STEP : c * STEP + BLOCK] += est[r, c]
+            cnt[r * STEP : r * STEP + BLOCK, c * STEP : c * STEP + BLOCK] += 1
+    return (acc / cnt)[pad : pad + h, pad : pad + w]
+
+
+def _assert_dct8_matches_einsum(img, sigma):
+    # A 1e-9 match also means no coefficient flipped across the 3-sigma threshold.
+    out = denoise_rgb(img, "dct8", DenoiseConfig(sigma=sigma))
+    opp = opponent_planes(img.planes)
+    expected = rgb_planes(np.stack([_einsum_dct8_channel(chan, sigma) for chan in opp]))
+    assert np.abs(out.planes - expected).max() <= 1e-9
+
+
+def _noisy_ramp(seed, h, w):
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:h, 0:w]
+    base = np.stack([2.0 * yy + xx, np.full((h, w), 128.0), 255.0 - xx - yy])
+    return ColorImage(base + rng.normal(0.0, 20.0, size=(3, h, w)))
+
+
+@pytest.mark.parametrize("shape", ((37, 41), (64, 64), (130, 130)))
+@pytest.mark.parametrize("sigma", (5.0, 20.0, 50.0))
+def test_dct8_matches_einsum_reference(shape, sigma):
+    _assert_dct8_matches_einsum(_noisy_ramp(11, *shape), sigma)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(8, 72),
+    st.integers(8, 72),
+    st.floats(0.1, 80.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_dct8_matches_einsum_reference_property(h, w, sigma, seed):
+    _assert_dct8_matches_einsum(_noisy_ramp(seed, h, w), sigma)
+
+
+def test_dct8_peak_memory_at_256():
+    # A 256x256 call peaks at 7.0 MiB (9.5 MiB with the einsum transforms);
+    # batching the three channels into one call would pass the bound.
+    img = _noisy_ramp(12, 256, 256)
+    cfg = DenoiseConfig(sigma=20.0)
+    denoise_rgb(img, "dct8", cfg)
+    tracemalloc.start()
+    try:
+        denoise_rgb(img, "dct8", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0 * 2**20
 
 
 def test_nlmeans_matches_brute_force_oracle():
