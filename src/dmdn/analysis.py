@@ -17,8 +17,7 @@ import numpy as np
 
 from .demosaic import demosaic
 from .image import ColorImage, DomainError, opponent_planes
-from .mosaic import mosaick
-from .noise import NoiseSpec, add_awgn, derive_seed
+from .noise import noisy_mosaics
 
 RGB_CHANNELS = ("R", "G", "B")
 OPPONENT_CHANNELS = ("Y", "C1", "C2")
@@ -160,18 +159,12 @@ def rmse_table(
     [0, 255], matching how demosaicing results are stored and published);
     without that step the table systematically overstates the noise left
     at bright and dark image content.  Per-image noise seeds derive from
-    (seed, image index), and the same standard-normal field is reused
-    across sigmas (scaled), so rows differ only through the noise level.
+    (seed, image index), and each image's standard-normal field is drawn
+    once and scaled by every sigma, so rows differ only through the noise level.
     """
-    rows = []
-    for sigma in sigma_list:
-        values = []
-        for index, truth in enumerate(dataset):
-            noisy = add_awgn(
-                mosaick(truth, phase), NoiseSpec(sigma, derive_seed(seed, index))
-            )
-            out = demosaic(noisy, demosaicer)
-            clipped = ColorImage(np.clip(out.planes, 0.0, 255.0))
-            values.append(rmse(clipped, truth))
-        rows.append((float(sigma), math.fsum(values) / len(values)))
-    return rows
+    values: list[list[float]] = [[] for _ in sigma_list]
+    for index, k, noisy in noisy_mosaics(dataset, sigma_list, seed, phase):
+        out = demosaic(noisy, demosaicer)
+        clipped = ColorImage(np.clip(out.planes, 0.0, 255.0))
+        values[k].append(rmse(clipped, dataset[index]))
+    return [(float(sigma), math.fsum(v) / len(v)) for sigma, v in zip(sigma_list, values)]

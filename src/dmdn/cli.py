@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 from . import formats
@@ -27,7 +27,7 @@ from .demosaic import DemosaicerId, demosaic
 from .denoise import DenoiseConfig, DenoiserId, denoise_cfa, denoise_rgb
 from .image import ColorImage, DomainError
 from .mosaic import PHASES, CfaImage, mosaick, read_cfa, write_cfa
-from .noise import NoiseSpec, add_awgn, derive_seed, poisson_sample
+from .noise import NoiseSpec, add_awgn, derive_seed, noisy_mosaics, poisson_sample
 from .optimize import CmaConfig, tune_pipeline
 from .pipeline import (
     PRESET_NAMES,
@@ -214,15 +214,14 @@ def cmd_pipeline_preset(args) -> None:
 
 def cmd_pipeline_sweep_k(args) -> None:
     dataset = _load_dataset(args.dataset)
-    seeds = _image_seeds(args.seed, dataset)
 
-    def one(item):
-        name, truth = item
-        noisy = add_awgn(mosaick(truth, args.phase), NoiseSpec(args.sigma, seeds[name]))
-        return sweep_k(noisy, truth, args.dm, args.dn, args.sigma, args.k_list)
+    def one(task):
+        index, _, noisy = task
+        return sweep_k(noisy, dataset[index][1], args.dm, args.dn, args.sigma, args.k_list)
 
     with stage({}, "sweep") as timings:
-        per_image = _map_jobs(one, dataset, args.jobs)
+        captures = noisy_mosaics([img for _, img in dataset], [args.sigma], args.seed, args.phase)
+        per_image = _map_jobs(one, captures, args.jobs)
     means = [
         math.fsum(rows[i][1] for rows in per_image) / len(per_image)
         for i in range(len(args.k_list))
@@ -233,7 +232,7 @@ def cmd_pipeline_sweep_k(args) -> None:
         args,
         [out],
         master_seed=args.seed,
-        per_image_seeds=seeds,
+        per_image_seeds=_image_seeds(args.seed, dataset),
         per_image_metrics={
             name: {f"cpsnr_k{k:g}": rows[i][1] for i, k in enumerate(args.k_list)}
             for (name, _), rows in zip(dataset, per_image)
@@ -335,52 +334,49 @@ def cmd_rmse_table(args) -> None:
 
 
 def cmd_eval(args) -> None:
+    labels = [f"{sigma:g}" for sigma in args.sigmas]
+    if len(set(labels)) != len(labels):
+        raise DomainError(f"--sigmas repeats a noise level: {','.join(labels)}")
     dataset = _load_dataset(args.dataset)
-    seeds = _image_seeds(args.seed, dataset)
 
     def run_one(task):
-        name, truth, sigma, preset_name = task
-        noisy = add_awgn(mosaick(truth, args.phase), NoiseSpec(sigma, seeds[name]))
-        spec = _spec_from_args(args, preset(preset_name, sigma))
+        index, k, noisy = task
+        name, truth = dataset[index]
         timings: dict = {}
-        return cpsnr(run_pipeline(noisy, spec, timings=timings), truth), timings
+        scores = {}
+        for preset_name in PRESET_NAMES:
+            spec = _spec_from_args(args, preset(preset_name, args.sigmas[k]))
+            scores[f"{preset_name}_sigma{labels[k]}"] = cpsnr(run_pipeline(noisy, spec, timings=timings), truth)
+        return name, scores, timings
 
-    tasks = [
-        (name, truth, sigma, preset_name)
-        for sigma in args.sigmas
-        for preset_name in PRESET_NAMES
-        for name, truth in dataset
-    ]
     with stage({}, "total") as timings:
-        results = _map_jobs(run_one, tasks, args.jobs)
+        captures = noisy_mosaics([img for _, img in dataset], args.sigmas, args.seed, args.phase)
+        results = _map_jobs(run_one, captures, args.jobs)
 
-    per_image: dict = {}
-    table: dict = {}
-    for (name, _, sigma, preset_name), (value, task_timings) in zip(tasks, results):
-        per_image.setdefault(name, {})[f"{preset_name}_sigma{sigma:g}"] = _finite_or_none(value)
-        table.setdefault((sigma, preset_name), []).append(value)
+    per_image: dict = {name: {} for name, _ in dataset}
+    for name, scores, task_timings in results:
+        per_image[name].update(scores)
         for key, seconds in task_timings.items():
             timings[key] = timings.get(key, 0.0) + seconds
 
     aggregate = {}
     rows = []
-    for sigma in args.sigmas:
+    for sigma, label in zip(args.sigmas, labels):
         for preset_name in PRESET_NAMES:
-            params = preset(preset_name, sigma)
-            mean_value = math.fsum(table[(sigma, preset_name)]) / len(dataset)
-            aggregate[f"{preset_name}_sigma{sigma:g}"] = mean_value
-            rows.append(
-                [sigma, preset_name, params.alpha, params.beta, params.sigma1, params.sigma2, f"{mean_value:.6f}"]
-            )
+            key = f"{preset_name}_sigma{label}"
+            aggregate[key] = math.fsum(scores[key] for scores in per_image.values()) / len(dataset)
+            rows.append([sigma, preset_name, *astuple(preset(preset_name, sigma)), f"{aggregate[key]:.6f}"])
     csv_path = Path(args.out) / "eval.csv"
     _write_csv(csv_path, ["sigma", "method", "alpha", "beta", "sigma1", "sigma2", "mean_cpsnr"], rows)
     _write_manifest(
         args,
         [csv_path],
         master_seed=args.seed,
-        per_image_seeds=seeds,
+        per_image_seeds=_image_seeds(args.seed, dataset),
         components={"dn1": args.dn1, "dm": args.dm, "dn2": args.dn2},
-        per_image_metrics=per_image,
+        per_image_metrics={
+            name: {key: _finite_or_none(value) for key, value in scores.items()} for name, scores in per_image.items()
+        },
         aggregate_metrics=aggregate,
         timings=timings,
     )
@@ -409,7 +405,12 @@ def _absolute_argv(argv: list[str], cwd: str) -> list[str]:
 
 
 def cmd_rerun(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text())
+    try:
+        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise OSError(f"{args.manifest}: malformed manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise OSError(f"{args.manifest}: malformed manifest: not a JSON object")
     argv = manifest.get("command")
     if not argv:
         raise DomainError(f"{args.manifest}: manifest has no recorded command")
@@ -472,8 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     _command(sub, "mosaic", cmd_mosaic, "Bayer-sample a color image", "input", "phase", "out")
 
     p = _command(sub, "noise", cmd_noise, "add seeded AWGN (or Poisson-sample)", "input", "seed", "out")
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--poisson", action="store_true")
+    level = p.add_mutually_exclusive_group()
+    level.add_argument("--sigma", type=float, default=0.0)
+    level.add_argument("--poisson", action="store_true")
 
     p = _command(sub, "demosaic", cmd_demosaic, "interpolate RGB from a CFA", "input", "out")
     p.add_argument("--method", default="ha", choices=_DEMOSAIC_CHOICES)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import ColorImage, DomainError, GrayImage
-from .mosaic import CfaImage
+from .mosaic import CfaImage, mosaick
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -103,19 +103,38 @@ def _map_values(img, fn):
     raise TypeError(f"unsupported image type {type(img).__name__}")
 
 
+def normal_field(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The standard-normal field of a seed, in raster order (channel-major)."""
+    return RngStream(seed).normals(math.prod(shape)).reshape(shape)
+
+
 def add_awgn(img, spec: NoiseSpec):
     """Add i.i.d. N(0, sigma^2) noise; deterministic for a given seed.
 
     The standard-normal field depends only on the seed and the image shape,
     so the same seed at two sigmas yields proportionally scaled noise.
     """
-    stream = RngStream(spec.seed)
 
     def add(values: np.ndarray) -> np.ndarray:
-        z = stream.normals(values.size).reshape(values.shape)
-        return values + spec.sigma * z
+        return values + spec.sigma * normal_field(spec.seed, values.shape)
 
     return _map_values(img, add)
+
+
+def noisy_mosaics(dataset: list[ColorImage], sigmas: list[float], seed: int, phase: str = "RGGB"):
+    """Yield (image index, sigma index, noisy mosaic) for every image and sigma.
+
+    Each equals `add_awgn(mosaick(u, phase), NoiseSpec(sigma, derive_seed(seed, i)))`
+    for image u at position i, but an image's normal field is drawn only once.
+    """
+    if not dataset:
+        raise DomainError("dataset must be non-empty")
+    sigmas = [NoiseSpec(sigma).sigma for sigma in sigmas]  # rejects a negative or NaN sigma
+    for index, truth in enumerate(dataset):
+        clean = mosaick(truth, phase)
+        field = normal_field(derive_seed(seed, index), clean.plane.shape)
+        for k, sigma in enumerate(sigmas):
+            yield index, k, CfaImage(clean.plane + sigma * field, phase)
 
 
 def _poisson_small(lam: float, uniform) -> int:

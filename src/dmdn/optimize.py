@@ -17,8 +17,7 @@ import numpy as np
 
 from .analysis import cpsnr
 from .image import ColorImage, DomainError
-from .mosaic import mosaick
-from .noise import NoiseSpec, RngStream, add_awgn, derive_seed
+from .noise import RngStream, noisy_mosaics
 from .pipeline import PipelineParams, PipelineSpec, run_pipeline
 
 
@@ -224,18 +223,11 @@ def pipeline_objective(
 ):
     """Mean-CPSNR objective over frozen noisy mosaics of a dataset.
 
-    Noise realizations are generated once (per-image seeds derived from
-    noise_seed and the image index), so the objective is a deterministic
-    function of the pipeline parameters.
+    The noisy mosaics are drawn once by `noisy_mosaics` (per-image seeds
+    derived from noise_seed and the image index), so the objective is a
+    deterministic function of the pipeline parameters.
     """
-    if not dataset:
-        raise DomainError("dataset must be non-empty")
-    if sigma < 0:
-        raise DomainError("sigma must be >= 0")
-    frozen = [
-        (add_awgn(mosaick(u, phase), NoiseSpec(sigma, derive_seed(noise_seed, i))), u)
-        for i, u in enumerate(dataset)
-    ]
+    frozen = [(v, dataset[i]) for i, _, v in noisy_mosaics(dataset, [sigma], noise_seed, phase)]
 
     def objective(x: np.ndarray) -> float:
         params = PipelineParams(*(float(v) for v in x))

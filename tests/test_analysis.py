@@ -208,3 +208,8 @@ def test_rmse_table_monotone_in_sigma(natural_images):
     rows = rmse_table(natural_images[:2], "ha", [0.0, 5.0, 20.0], seed=2)
     values = [v for _, v in rows]
     assert values[0] <= values[1] <= values[2]
+
+
+def test_rmse_table_rejects_empty_dataset():
+    with pytest.raises(DomainError, match="dataset must be non-empty"):
+        rmse_table([], "ha", [5.0], seed=0)

@@ -7,6 +7,7 @@ from dmdn import formats
 from dmdn.cli import main
 from dmdn.image import ColorImage
 from dmdn.mosaic import read_cfa
+from dmdn.noise import RngStream
 
 from conftest import make_natural
 
@@ -231,6 +232,9 @@ def test_exit_codes(tmp_path, capsys):
     formats.write_image(data / "img.ppm", make_natural(1, size=16))
     assert run("tune", "--dataset", data, "--sigma", 10, "--max-evals", 0, "--out", tmp_path / "t") == 4
     assert not (tmp_path / "t").exists()  # budget below one generation
+    for sigmas in ("20,20", "20,20.0000001"):  # repeated noise level (same label)
+        assert run("eval", "--dataset", data, "--sigmas", sigmas, "--out", tmp_path / "e") == 4
+    assert not (tmp_path / "e").exists()
     cfa = tmp_path / "v.pfm"
     assert run("mosaic", "--input", img, "--out", cfa) == 0
     assert run("stats", "--estimate", cfa, "--truth", img, "--out", tmp_path / "s.csv") == 4  # gray estimate
@@ -249,6 +253,7 @@ def test_exit_codes(tmp_path, capsys):
         ("pipeline", "sweep-k", "--dataset", tmp_path, "--sigma", 5, "--k-list", "1,x", "--out", tmp_path / "k.csv"),
         ("eval", "--dataset", tmp_path, "--jobs", 0, "--out", tmp_path / "e"),
         ("pipeline", "sweep-k", "--dataset", tmp_path, "--sigma", 5, "--jobs", -3, "--out", tmp_path / "k.csv"),
+        ("noise", "--input", img, "--poisson", "--sigma", 20, "--out", tmp_path / "p.ppm"),
     ):
         with pytest.raises(SystemExit) as exc:
             run(*argv)
@@ -259,3 +264,22 @@ def test_rerun_requires_recorded_command(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"config": {}}))
     assert run("rerun", "--manifest", manifest) == 4
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}", b"[1, 2]"], ids=["json", "utf8", "list"])
+def test_rerun_rejects_malformed_manifest(tmp_path, capsys, content):
+    manifest = tmp_path / "m.json"
+    manifest.write_bytes(content)
+    assert run("rerun", "--manifest", manifest) == 3
+    assert capsys.readouterr().err.startswith(f"error: {manifest}: ")
+
+
+def test_each_image_noise_field_is_drawn_once(tmp_path, dataset_dir, monkeypatch):
+    draws = []
+    normals = RngStream.normals
+    monkeypatch.setattr(RngStream, "normals", lambda self, n: draws.append(n) or normals(self, n))
+    assert run("rmse-table", "--dataset", dataset_dir, "--sigmas", "0,5,20", "--out", tmp_path / "r.csv") == 0
+    assert len(draws) == 2  # one field per image, not one per (image, sigma)
+    draws.clear()
+    assert run("eval", "--dataset", dataset_dir, "--sigmas", "5,20", "--out", tmp_path / "e") == 0
+    assert len(draws) == 2  # not one per (image, sigma, preset)

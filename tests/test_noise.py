@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmdn.image import ColorImage, DomainError, GrayImage
-from dmdn.mosaic import CfaImage
+from dmdn.mosaic import PHASES, CfaImage, mosaick
 from dmdn.noise import (
     NoiseSpec,
     RngStream,
@@ -13,6 +15,7 @@ from dmdn.noise import (
     anscombe,
     anscombe_inverse,
     derive_seed,
+    noisy_mosaics,
     poisson_sample,
     splitmix64,
 )
@@ -103,9 +106,46 @@ def test_independent_noise_variances_add():
     assert out.plane.var() == pytest.approx(12.0**2 + 16.0**2, rel=0.05)
 
 
+def test_awgn_matches_recorded_digests():
+    # The stream, Box-Muller and the sigma scaling must all stay bit-exact.
+    color = ColorImage(np.arange(3 * 16 * 18, dtype=np.float64).reshape(3, 16, 18) % 256)
+    out = add_awgn(color, NoiseSpec(7, seed=31)).planes
+    assert hashlib.sha256(out.tobytes()).hexdigest() == (
+        "0d51816a3bd445daf22d71c0c6fc55e38a3d6f341bf3f245614f4e290bba1f4a"
+    )
+    cfa = CfaImage((np.arange(20 * 22, dtype=np.float64) * 7 % 256).reshape(20, 22), "GRBG")
+    out = add_awgn(cfa, NoiseSpec(3, seed=5)).plane
+    assert hashlib.sha256(out.tobytes()).hexdigest() == (
+        "d32117eaba060b684cd61de28ef93b3e6eed6a9ae8894fd507870d57888e2868"
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    phase=st.sampled_from(PHASES),
+    sigmas=st.lists(st.sampled_from([0.0, 0.5, 3.0, 20.0, 255.0]), min_size=1, max_size=4),
+    count=st.integers(1, 3),
+)
+@example(seed=7, phase="GBRG", sigmas=[0.0, 20.0, 20.0], count=2)
+def test_noisy_mosaics_equal_awgn_of_each_mosaic(seed, phase, sigmas, count):
+    rng = np.random.default_rng(seed % 1000)
+    dataset = [ColorImage(rng.uniform(0, 255, size=(3, 6, 8))) for _ in range(count)]
+    got = list(noisy_mosaics(dataset, sigmas, seed, phase))
+    assert [(i, k) for i, k, _ in got] == [(i, k) for i in range(count) for k in range(len(sigmas))]
+    for i, k, noisy in got:
+        expected = add_awgn(mosaick(dataset[i], phase), NoiseSpec(sigmas[k], derive_seed(seed, i)))
+        assert noisy.phase == phase
+        assert noisy.plane.tobytes() == expected.plane.tobytes()
+
+
 def test_negative_sigma_rejected():
     with pytest.raises(DomainError):
         NoiseSpec(-1.0, 0)
+    dataset = [ColorImage(np.zeros((3, 4, 4)))]
+    for sigmas in ([5.0, -1.0], [math.nan]):
+        with pytest.raises(DomainError, match="sigma must be >= 0"):
+            next(noisy_mosaics(dataset, sigmas, seed=0))
 
 
 def test_derive_seed_matches_stated_rule():
