@@ -411,10 +411,15 @@ def cmd_rerun(args) -> int:
         raise OSError(f"{args.manifest}: malformed manifest: {exc}") from None
     if not isinstance(manifest, dict):
         raise OSError(f"{args.manifest}: malformed manifest: not a JSON object")
-    argv = manifest.get("command")
+    argv, cwd = manifest.get("command"), manifest.get("cwd")
+    if argv is not None and not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise OSError(f"{args.manifest}: malformed manifest: command is not a list of strings")
     if not argv:
         raise DomainError(f"{args.manifest}: manifest has no recorded command")
-    cwd = manifest.get("cwd")
+    if argv[0] == "rerun":
+        raise OSError(f"{args.manifest}: malformed manifest: command is itself a rerun")
+    if cwd is not None and not isinstance(cwd, str):
+        raise OSError(f"{args.manifest}: malformed manifest: cwd is not a string")
     # Relative paths were given against the recording's working directory.
     return main(argv if cwd is None else _absolute_argv(argv, cwd))
 

@@ -31,13 +31,13 @@ _BLOCK_LAYOUT = {
 _ROLE_CHANNEL = {"R": 0, "G1": 1, "G2": 1, "B": 2}
 
 
-def channel_index_grid(phase: str) -> np.ndarray:
-    """2x2 grid of RGB channel indices (0/1/2) for a phase."""
-    layout = _BLOCK_LAYOUT[phase]
-    grid = np.empty((2, 2), dtype=np.intp)
-    for role, (r, c) in layout.items():
-        grid[r, c] = _ROLE_CHANNEL[role]
-    return grid
+def sites(values: np.ndarray, phase: str, role: str) -> np.ndarray:
+    """The view `values[..., r::2, c::2]` of one role's sites (R, G1, G2, B).
+
+    This is the one place the Bayer layout is read; the view can be written.
+    """
+    r, c = _BLOCK_LAYOUT[phase][role]
+    return values[..., r::2, c::2]
 
 
 def _check_phase(phase: str) -> str:
@@ -90,11 +90,9 @@ def mosaick(img: ColorImage, phase: str = "RGGB") -> CfaImage:
         raise DomainError(
             f"mosaick requires even dimensions, got {img.width}x{img.height}"
         )
-    grid = channel_index_grid(phase)
     plane = np.empty((img.height, img.width), dtype=np.float64)
-    for r in range(2):
-        for c in range(2):
-            plane[r::2, c::2] = img.planes[grid[r, c], r::2, c::2]
+    for role, channel in _ROLE_CHANNEL.items():
+        sites(plane, phase, role)[...] = sites(img.planes[channel], phase, role)
     return CfaImage(plane, phase)
 
 
@@ -104,33 +102,18 @@ def split_cfa(cfa: CfaImage) -> HalfPair:
     Both halves carry the block's R and B; the first takes G1 and the
     second G2.
     """
-    layout = _BLOCK_LAYOUT[cfa.phase]
-
-    def site(role):
-        r, c = layout[role]
-        return cfa.plane[r::2, c::2]
-
-    r_plane, b_plane = site("R"), site("B")
-    first = ColorImage(np.stack([r_plane, site("G1"), b_plane]))
-    second = ColorImage(np.stack([r_plane, site("G2"), b_plane]))
-    return HalfPair(first, second)
+    r, g1, g2, b = (sites(cfa.plane, cfa.phase, role) for role in ("R", "G1", "G2", "B"))
+    return HalfPair(ColorImage(np.stack([r, g1, b])), ColorImage(np.stack([r, g2, b])))
 
 
 def recombine_cfa(pair: HalfPair, phase: str = "RGGB") -> CfaImage:
     """Reassemble a CFA: each green from its own half, R and B averaged."""
     _check_phase(phase)
-    layout = _BLOCK_LAYOUT[phase]
-    h, w = pair.first.height, pair.first.width
-    plane = np.empty((2 * h, 2 * w), dtype=np.float64)
-
-    def put(role, values):
-        r, c = layout[role]
-        plane[r::2, c::2] = values
-
-    put("R", (pair.first.r + pair.second.r) / 2.0)
-    put("B", (pair.first.b + pair.second.b) / 2.0)
-    put("G1", pair.first.g)
-    put("G2", pair.second.g)
+    plane = np.empty((2 * pair.first.height, 2 * pair.first.width), dtype=np.float64)
+    sites(plane, phase, "R")[...] = (pair.first.r + pair.second.r) / 2.0
+    sites(plane, phase, "B")[...] = (pair.first.b + pair.second.b) / 2.0
+    sites(plane, phase, "G1")[...] = pair.first.g
+    sites(plane, phase, "G2")[...] = pair.second.g
     return CfaImage(plane, phase)
 
 
@@ -144,5 +127,7 @@ def read_cfa(path) -> CfaImage:
     img = formats.read_image(path)
     if not isinstance(img, GrayImage):
         raise DomainError(f"{path}: CFA file must be a gray image")
-    meta = formats.read_meta(path)
-    return CfaImage(img.plane, meta.get("phase", "RGGB"))
+    phase = formats.read_meta(path).get("phase", "RGGB")
+    if phase not in PHASES:
+        raise formats.ImageFormatError(f"{path}.meta", None, f"unknown Bayer phase {phase!r}")
+    return CfaImage(img.plane, phase)

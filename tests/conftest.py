@@ -15,9 +15,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import ndimage
 
 from dmdn.image import ColorImage, rgb_planes
+
+# One Hypothesis policy for every property: no per-example deadline, because
+# a shared host's slow phases can stretch single examples well past 200 ms.
+# Each test still sets its own `max_examples`.
+settings.register_profile("dmdn", deadline=None)
+settings.load_profile("dmdn")
 
 
 def spectral_field(rng: np.random.Generator, size: int, slope: float) -> np.ndarray:

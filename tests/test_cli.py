@@ -242,7 +242,7 @@ def test_exit_codes(tmp_path, capsys):
     assert run("demosaic", "--input", cfa, "--out", tmp_path / "x.png") == 3
     assert run("noise", "--input", cfa, "--sigma", 5, "--out", tmp_path / "n.ppm") == 3  # gray CFA as .ppm
     assert run("demosaic", "--input", cfa, "--out", tmp_path / "x.pgm") == 3  # color result as .pgm
-    for sidecar in (b"phase RGGB\n", b"\xffphase=RGGB\n"):
+    for sidecar in (b"phase RGGB\n", b"\xffphase=RGGB\n", b"phase=XYZW\n"):
         (tmp_path / "v.pfm.meta").write_bytes(sidecar)
         assert run("demosaic", "--input", cfa, "--out", tmp_path / "x.ppm") == 3
     # unknown flag or malformed list value -> argparse exits with 2
@@ -266,10 +266,23 @@ def test_rerun_requires_recorded_command(tmp_path):
     assert run("rerun", "--manifest", manifest) == 4
 
 
-@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}", b"[1, 2]"], ids=["json", "utf8", "list"])
-def test_rerun_rejects_malformed_manifest(tmp_path, capsys, content):
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"{not json",
+        b"\xff\xfe{}",
+        b"[1, 2]",
+        {"command": 5},
+        {"command": "pipeline preset --name DM&DN --sigma 5"},
+        {"command": ["demosaic", "--input", "v.pfm", "--out", "u.ppm"], "cwd": 5},
+        {"command": ["rerun", "--manifest", "m.json"]},  # itself, from tmp_path
+    ],
+    ids=["json", "utf8", "list", "command-int", "command-str", "cwd-int", "self-rerun"],
+)
+def test_rerun_rejects_malformed_manifest(tmp_path, capsys, monkeypatch, content):
+    monkeypatch.chdir(tmp_path)
     manifest = tmp_path / "m.json"
-    manifest.write_bytes(content)
+    manifest.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
     assert run("rerun", "--manifest", manifest) == 3
     assert capsys.readouterr().err.startswith(f"error: {manifest}: ")
 

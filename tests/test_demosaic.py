@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
-from dmdn.demosaic import demosaic, site_masks
+from dmdn.demosaic import demosaic
 from dmdn.image import ColorImage, DomainError
-from dmdn.mosaic import PHASES, CfaImage, mosaick
+from dmdn.mosaic import PHASES, CfaImage, mosaick, sites
 from dmdn.noise import NoiseSpec, add_awgn
 
 METHODS = ("bilinear", "ha", "malvar")
@@ -63,8 +66,9 @@ def test_hamilton_adams_reconstructs_ramp_exactly():
 def test_hamilton_adams_tie_averages_both_directions():
     # Symmetric neighborhood around an R site: both gradients equal 16, so
     # the green estimate is the mean of the two directional estimates.
-    g_mask = site_masks(CfaImage(np.zeros((10, 10)), "RGGB"))[1]
-    plane = np.where(g_mask, 10.0, 20.0)
+    plane = np.full((10, 10), 20.0)
+    sites(plane, "RGGB", "G1")[...] = 10.0
+    sites(plane, "RGGB", "G2")[...] = 10.0
     center = (4, 4)
     for di, dj in ((0, -2), (0, 2), (-2, 0), (2, 0)):
         plane[center[0] + di, center[1] + dj] = 12.0
@@ -130,3 +134,113 @@ def test_noise_is_not_amplified_per_channel(natural_images):
     out = demosaic(noisy, "ha")
     res = (out.planes - truth.planes)[:, 8:-8, 8:-8]
     assert res.var() <= 1.2 * 400.0
+
+
+# ---------------------------------------------------------------- reference
+# The full-plane demosaicers the per-site kernel tables replaced: masks and
+# mirror-mode `ndimage.convolve`, with their own phase table (the RGB channel
+# of each 2x2 block position).  The kernel tables must match them bit for bit.
+
+_REF_GRID = {
+    "RGGB": ((0, 1), (1, 2)),
+    "GRBG": ((1, 0), (2, 1)),
+    "GBRG": ((1, 2), (0, 1)),
+    "BGGR": ((2, 1), (1, 0)),
+}
+_REF_CROSS = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.float64)
+_REF_RING = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=np.float64)
+_REF_G = np.array(
+    [[0, 0, -1, 0, 0], [0, 0, 2, 0, 0], [-1, 2, 4, 2, -1], [0, 0, 2, 0, 0], [0, 0, -1, 0, 0]],
+    dtype=np.float64,
+) / 8.0
+_REF_H = np.array(
+    [[0, 0, 0.5, 0, 0], [0, -1, 0, -1, 0], [-1, 4, 5, 4, -1], [0, -1, 0, -1, 0], [0, 0, 0.5, 0, 0]],
+    dtype=np.float64,
+) / 8.0
+_REF_X = np.array(
+    [[0, 0, -1.5, 0, 0], [0, 2, 0, 2, 0], [-1.5, 0, 6, 0, -1.5], [0, 2, 0, 2, 0], [0, 0, -1.5, 0, 0]],
+    dtype=np.float64,
+) / 8.0
+
+
+def ref_masks(phase, h, w):
+    chan = np.tile(np.array(_REF_GRID[phase]), (h // 2, w // 2))
+    return chan == 0, chan == 1, chan == 2
+
+
+def ref_interp(values, mask, kernel):
+    maskf = mask.astype(np.float64)
+    num = ndimage.convolve(values * maskf, kernel, mode="mirror")
+    den = ndimage.convolve(maskf, kernel, mode="mirror")
+    return num / np.where(den > 0, den, 1.0)
+
+
+def ref_demosaic(raw, phase, method):
+    r_mask, g_mask, b_mask = ref_masks(phase, *raw.shape)
+    if method == "bilinear":
+        g = np.where(g_mask, raw, ref_interp(raw, g_mask, _REF_CROSS))
+        r = np.where(r_mask, raw, ref_interp(raw, r_mask, _REF_RING))
+        b = np.where(b_mask, raw, ref_interp(raw, b_mask, _REF_RING))
+    elif method == "malvar":
+        rows_with_r = np.zeros_like(r_mask)
+        rows_with_r[np.any(r_mask, axis=1)] = True
+        g1_mask, g2_mask = g_mask & rows_with_r, g_mask & ~rows_with_r
+        est_g, est_h, est_v, est_x = (
+            ndimage.convolve(raw, k, mode="mirror") for k in (_REF_G, _REF_H, _REF_H.T, _REF_X)
+        )
+        g = np.where(g_mask, raw, est_g)
+        r = np.select([r_mask, g1_mask, g2_mask], [raw, est_h, est_v], default=0.0)
+        r = np.where(b_mask, est_x, r)
+        b = np.select([b_mask, g2_mask, g1_mask], [raw, est_h, est_v], default=0.0)
+        b = np.where(r_mask, est_x, b)
+    else:
+        h, w = raw.shape
+        z = np.pad(raw, 2, mode="reflect")
+
+        def s(di, dj):
+            return z[2 + di : 2 + di + h, 2 + dj : 2 + dj + w]
+
+        lap_h = 2.0 * s(0, 0) - s(0, -2) - s(0, 2)
+        lap_v = 2.0 * s(0, 0) - s(-2, 0) - s(2, 0)
+        grad_h = np.abs(s(0, -1) - s(0, 1)) + np.abs(lap_h)
+        grad_v = np.abs(s(-1, 0) - s(1, 0)) + np.abs(lap_v)
+        est_h = (s(0, -1) + s(0, 1)) / 2.0 + lap_h / 4.0
+        est_v = (s(-1, 0) + s(1, 0)) / 2.0 + lap_v / 4.0
+        est_tie = (est_h + est_v) / 2.0
+        g_est = np.where(grad_h < grad_v, est_h, np.where(grad_v < grad_h, est_v, est_tie))
+        g = np.where(g_mask, raw, g_est)
+        r, b = (np.where(m, raw, g + ref_interp(raw - g, m, _REF_RING)) for m in (r_mask, b_mask))
+    return np.stack([r, g, b])
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("phase", PHASES)
+def test_matches_full_plane_reference(method, phase):
+    for shape in ((2, 2), (2, 6), (6, 2), (4, 4), (10, 6), (34, 40), (130, 66)):
+        rng = np.random.default_rng(sum(shape))
+        raw = rng.uniform(-20, 275, size=shape)
+        out = demosaic(CfaImage(raw, phase), method)
+        assert np.array_equal(out.planes, ref_demosaic(raw, phase, method)), shape
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(PHASES),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_matches_full_plane_reference_property(phase, hb, wb, offset, scale, integral, seed):
+    rng = np.random.default_rng(seed)
+    raw = offset + scale * rng.standard_normal((2 * hb, 2 * wb))
+    if integral:  # integer samples make Hamilton-Adams gradient ties common
+        raw = np.round(raw)
+    for method in METHODS:
+        out = demosaic(CfaImage(raw, phase), method)
+        assert np.array_equal(out.planes, ref_demosaic(raw, phase, method)), method
+    color = offset + scale * rng.standard_normal((3, 2 * hb, 2 * wb))
+    expected = np.select(ref_masks(phase, 2 * hb, 2 * wb), color)
+    assert np.array_equal(mosaick(ColorImage(color), phase).plane, expected)

@@ -121,7 +121,7 @@ def test_meta_sidecar_round_trip(tmp_path):
     assert read_meta(path) == {"phase": "GRBG", "note": "x"}
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     st.integers(1, 6),
     st.integers(1, 6),

@@ -65,7 +65,7 @@ def test_images_are_immutable():
         img.planes[0, 0, 0] = 1.0
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 2**32 - 1))
 def test_transform_is_orthonormal_for_any_image(seed):
     rng = np.random.default_rng(seed)

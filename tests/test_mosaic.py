@@ -127,7 +127,7 @@ def test_cfa_file_round_trip(tmp_path):
     )
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     st.sampled_from(PHASES),
     st.integers(1, 5),

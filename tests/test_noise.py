@@ -120,7 +120,7 @@ def test_awgn_matches_recorded_digests():
     )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     seed=st.integers(0, 2**64 - 1),
     phase=st.sampled_from(PHASES),
