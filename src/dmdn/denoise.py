@@ -9,6 +9,7 @@ field to all three channels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,8 +45,8 @@ class DenoiseConfig:
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma >= 0):
-            raise DomainError(f"sigma must be >= 0, got {self.sigma}")
+        if not (0 <= self.sigma < math.inf):
+            raise DomainError(f"sigma must be >= 0 and finite, got {self.sigma}")
 
 
 def _dct_matrix(n: int) -> np.ndarray:

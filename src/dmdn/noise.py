@@ -2,7 +2,10 @@
 
 Randomness comes from a self-contained xoshiro256++ generator seeded through
 splitmix64, so identical seeds give identical sample streams on every
-platform.  Normals are produced by Box-Muller (a fixed two-uniforms-per-pair
+platform.  It is lane-stepped xoshiro256++ with GF(2) jump-ahead; the same
+stream as the scalar definition: a draw of n words starts about sqrt(n) lanes
+at evenly spaced stream offsets and steps them together with array
+operations.  Normals are produced by Box-Muller (a fixed two-uniforms-per-pair
 budget keeps stream consumption independent of the sampled values), consumed
 in raster order and channel-major for color images.
 """
@@ -10,6 +13,7 @@ in raster order and channel-major for color images.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +47,61 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.sigma >= 0):
-            raise DomainError(f"sigma must be >= 0, got {self.sigma}")
+        if not (0 <= self.sigma < math.inf):
+            raise DomainError(f"sigma must be >= 0 and finite, got {self.sigma}")
+
+
+def _to_bits(words: np.ndarray) -> np.ndarray:
+    """(4, L) state words -> (256, L) bits; bit b of word w is row 64*w + b."""
+    octets = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, bitorder="little").T
+
+
+def _from_bits(bits: np.ndarray) -> np.ndarray:
+    """Inverse of `_to_bits`."""
+    octets = np.packbits(bits.T, axis=1, bitorder="little")
+    return np.ascontiguousarray(octets).view("<u8").astype(np.uint64).T
+
+
+def _gf2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # A float32 matmul of 0/1 matrices is exact: every sum is at most 256.
+    return (a.astype(np.float32) @ b.astype(np.float32) % 2).astype(np.uint8)
+
+
+def _advance(s: np.ndarray, t: np.ndarray, u: np.ndarray) -> None:
+    """One xoshiro256++ state transition of every lane of s (4, L), in place.
+
+    t and u are scratch arrays of shape (L,).  The transition is linear over
+    GF(2); only the output scrambler (rotl(s0 + s3, 23) + s0) is not.
+    """
+    s0, s1, s2, s3 = s
+    np.left_shift(s1, 17, out=u)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= u
+    np.right_shift(s3, 19, out=t)
+    s3 <<= 45
+    s3 |= t
+
+
+# _JUMPS[i] is the 256x256 GF(2) matrix of 2**i state transitions, one byte
+# per bit.  It is extended on first use, not at import, and only as far as
+# the largest draw so far needs.
+_JUMPS: list[np.ndarray] = []
+_JUMPS_LOCK = threading.Lock()
+
+
+def _jump(i: int) -> np.ndarray:
+    with _JUMPS_LOCK:
+        if not _JUMPS:  # column b: one transition of the state with only bit b set
+            unit = _from_bits(np.eye(256, dtype=np.uint8))
+            _advance(unit, np.empty(256, np.uint64), np.empty(256, np.uint64))
+            _JUMPS.append(_to_bits(unit))
+        while len(_JUMPS) <= i:
+            _JUMPS.append(_gf2_product(_JUMPS[-1], _JUMPS[-1]))
+        return _JUMPS[i]
 
 
 class RngStream:
@@ -56,23 +113,43 @@ class RngStream:
         for _ in range(4):
             out, state = splitmix64(state)
             s.append(out)
-        self._s = s
+        self._s = np.array(s, dtype=np.uint64)
 
     def _u64_array(self, n: int) -> np.ndarray:
-        s0, s1, s2, s3 = self._s
-        out = [0] * n
-        for i in range(n):
-            t = (s0 + s3) & _MASK64
-            out[i] = ((((t << 23) & _MASK64) | (t >> 41)) + s0) & _MASK64
-            u = (s1 << 17) & _MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= u
-            s3 = ((s3 << 45) & _MASK64) | (s3 >> 19)
-        self._s = [s0, s1, s2, s3]
-        return np.array(out, dtype=np.uint64)
+        """The next n words of the stream.
+
+        L = ceil(n / m) lanes of m = 2**(floor(log2 n) // 2) words each, lane
+        j starting j*m words ahead.  The lane starts come from doubling: with
+        2**k lanes so far, one product with the jump 2**k * m appends the next
+        2**k.  All lanes step together and are read lane-major.
+        """
+        if n == 0:
+            return np.empty(0, dtype=np.uint64)
+        log_m = (n.bit_length() - 1) // 2
+        m = 1 << log_m
+        lanes = -(-n // m)
+        bits = _to_bits(self._s[:, None])
+        i = log_m
+        while bits.shape[1] < lanes:
+            more = bits[:, : lanes - bits.shape[1]]
+            bits = np.concatenate([bits, _gf2_product(_jump(i), more)], axis=1)
+            i += 1
+        s = _from_bits(bits)
+        s0, _, _, s3 = s
+        out = np.empty((lanes, m), dtype=np.uint64)
+        t = np.empty(lanes, dtype=np.uint64)
+        u = np.empty(lanes, dtype=np.uint64)
+        last = n - (lanes - 1) * m  # steps of the last lane inside the draw
+        for k in range(m):
+            np.add(s0, s3, out=t)
+            np.left_shift(t, 23, out=u)
+            t >>= 41
+            u |= t
+            np.add(u, s0, out=out[:, k])
+            _advance(s, t, u)
+            if k + 1 == last:
+                self._s = s[:, -1].copy()
+        return out.reshape(-1)[:n]
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on (0, 1] (top 53 bits of each word, + 1 ulp)."""
@@ -175,8 +252,10 @@ def _poisson_ptrs(lam: float, uniform) -> int:
 
 
 # Rejection consumes a variable number of uniforms, so Poisson sampling reads
-# them one at a time, in stream order, from bulk draws of this size.
-_POISSON_CHUNK = 1024
+# them one at a time, in stream order, from bulk draws of this size.  The
+# stream is local to one call and is contiguous across draws, so the size
+# changes no sample; it only sets how many words each lane-stepped draw makes.
+_POISSON_CHUNK = 65536
 
 
 def poisson_sample(img, seed: int):

@@ -225,6 +225,11 @@ def test_exit_codes(tmp_path, capsys):
     img = tmp_path / "img.ppm"
     formats.write_image(img, make_natural(1, size=16))
     assert run("noise", "--input", img, "--sigma", -5, "--seed", 0, "--out", tmp_path / "o.ppm") == 4
+    capsys.readouterr()
+    for argv in (("noise",), ("denoise", "--method", "dct8"), ("denoise", "--method", "nlmeans")):
+        assert run(*argv, "--input", img, "--sigma", "inf", "--out", tmp_path / "o.ppm") == 4
+        assert "sigma must be >= 0 and finite, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "o.ppm").exists()
     assert run("stats", "--residual", img, "--crop", 2, "--lags", -1, "--out", tmp_path / "s.csv") == 4
     assert run("stats", "--residual", img, "--crop", -1, "--out", tmp_path / "s.csv") == 4
     data = tmp_path / "data"

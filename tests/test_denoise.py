@@ -36,8 +36,9 @@ def noise_image(seed, sigma=20.0, h=64, w=64):
 
 
 def test_config_validation():
-    with pytest.raises(DomainError):
-        DenoiseConfig(sigma=-1.0)
+    for sigma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="sigma must be >= 0 and finite"):
+            DenoiseConfig(sigma=sigma)
 
 
 def test_unknown_denoiser_rejected():

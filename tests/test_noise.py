@@ -1,11 +1,16 @@
 import hashlib
 import math
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dmdn import noise
 from dmdn.image import ColorImage, DomainError, GrayImage
 from dmdn.mosaic import PHASES, CfaImage, mosaick
 from dmdn.noise import (
@@ -47,6 +52,79 @@ def test_xoshiro_first_output_matches_definition():
     rot = ((t << 23) | (t >> 41)) & 0xFFFFFFFFFFFFFFFF
     expected = (rot + s0) & 0xFFFFFFFFFFFFFFFF
     assert int(RngStream(seed)._u64_array(1)[0]) == expected
+
+
+def scalar_xoshiro(seed: int, n: int) -> np.ndarray:
+    """Reference stream: the xoshiro256++ definition, one word at a time."""
+    mask = 0xFFFFFFFFFFFFFFFF
+    state = seed & mask
+    s = []
+    for _ in range(4):
+        out, state = splitmix64(state)
+        s.append(out)
+    s0, s1, s2, s3 = s
+    out = [0] * n
+    for i in range(n):
+        t = (s0 + s3) & mask
+        out[i] = ((((t << 23) & mask) | (t >> 41)) + s0) & mask
+        u = (s1 << 17) & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= u
+        s3 = ((s3 << 45) & mask) | (s3 >> 19)
+    return np.array(out, dtype=np.uint64)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**64 - 1), n1=st.integers(0, 3000), n2=st.integers(0, 3000))
+# n = 0, 1, powers of two and their neighbours; 3 draws 3 lanes of one word,
+# 50 draws 13 lanes of 4 (the last lane has 2 words inside the draw).
+@example(seed=0, n1=0, n2=1)
+@example(seed=2**64 - 1, n1=1, n2=0)
+@example(seed=1, n1=3, n2=50)
+@example(seed=5, n1=255, n2=256)
+@example(seed=6, n1=257, n2=1023)
+@example(seed=7, n1=1024, n2=1025)
+@example(seed=8, n1=2047, n2=2048)
+def test_lane_stream_equals_scalar_definition(seed, n1, n2):
+    expected = scalar_xoshiro(seed, n1 + n2)
+    assert np.array_equal(RngStream(seed)._u64_array(n1 + n2), expected)
+    # The stream advances by exactly the words drawn: split draws join up.
+    stream = RngStream(seed)
+    first, second = stream._u64_array(n1), stream._u64_array(n2)
+    assert np.array_equal(np.concatenate([first, second]), expected)
+
+
+def test_lane_stream_equals_scalar_definition_at_512_squared():
+    seed = 2**63 + 11
+    assert np.array_equal(RngStream(seed)._u64_array(512 * 512), scalar_xoshiro(seed, 512 * 512))
+
+
+def test_first_normal_field_peak_memory_at_512(monkeypatch):
+    # The jump table is built inside the measured call; it must stay compact.
+    monkeypatch.setattr(noise, "_JUMPS", [])
+    tracemalloc.start()
+    try:
+        noise.normal_field(3, (512, 512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert noise._JUMPS
+    assert peak <= 10.0 * 2**20
+
+
+def test_import_leaves_jump_table_empty():
+    # Importing the CLI (timed as set-up) must not build the jump table.
+    src = str(Path(noise.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import dmdn.cli, dmdn.noise; print(len(dmdn.noise._JUMPS))"
+    )
+    result = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0"
 
 
 def test_uniform_stream_matches_recorded_digest():
@@ -140,10 +218,11 @@ def test_noisy_mosaics_equal_awgn_of_each_mosaic(seed, phase, sigmas, count):
 
 
 def test_negative_sigma_rejected():
-    with pytest.raises(DomainError):
-        NoiseSpec(-1.0, 0)
+    for sigma in (-1.0, math.inf):
+        with pytest.raises(DomainError, match="sigma must be >= 0 and finite"):
+            NoiseSpec(sigma, 0)
     dataset = [ColorImage(np.zeros((3, 4, 4)))]
-    for sigmas in ([5.0, -1.0], [math.nan]):
+    for sigmas in ([5.0, -1.0], [math.nan], [math.inf]):
         with pytest.raises(DomainError, match="sigma must be >= 0"):
             next(noisy_mosaics(dataset, sigmas, seed=0))
 
