@@ -141,6 +141,14 @@ def _spec_from_args(args, params: PipelineParams) -> PipelineSpec:
     )
 
 
+def _distinct_labels(flag: str, what: str, values: list[float]) -> list[str]:
+    """The `{value:g}` labels that key a list flag's manifest metrics; each must be unique."""
+    labels = [f"{value:g}" for value in values]
+    if len(set(labels)) != len(labels):
+        raise DomainError(f"{flag} repeats a {what}: {','.join(labels)}")
+    return labels
+
+
 def _finite_or_none(value: float):
     return value if math.isfinite(value) else None
 
@@ -213,6 +221,7 @@ def cmd_pipeline_preset(args) -> None:
 
 
 def cmd_pipeline_sweep_k(args) -> None:
+    labels = _distinct_labels("--k-list", "factor", args.k_list)
     dataset = _load_dataset(args.dataset)
 
     def one(task):
@@ -234,10 +243,10 @@ def cmd_pipeline_sweep_k(args) -> None:
         master_seed=args.seed,
         per_image_seeds=_image_seeds(args.seed, dataset),
         per_image_metrics={
-            name: {f"cpsnr_k{k:g}": rows[i][1] for i, k in enumerate(args.k_list)}
+            name: {f"cpsnr_k{label}": row[1] for label, row in zip(labels, rows)}
             for (name, _), rows in zip(dataset, per_image)
         },
-        aggregate_metrics={f"mean_cpsnr_k{k:g}": m for k, m in zip(args.k_list, means)},
+        aggregate_metrics={f"mean_cpsnr_k{label}": m for label, m in zip(labels, means)},
         timings=timings,
     )
 
@@ -318,6 +327,7 @@ def cmd_stats(args) -> None:
 
 
 def cmd_rmse_table(args) -> None:
+    labels = _distinct_labels("--sigmas", "noise level", args.sigmas)
     dataset = _load_dataset(args.dataset)
     with stage({}, "rmse_table") as timings:
         rows = rmse_table([img for _, img in dataset], args.method, args.sigmas, args.seed, phase=args.phase)
@@ -328,15 +338,13 @@ def cmd_rmse_table(args) -> None:
         [out],
         master_seed=args.seed,
         per_image_seeds=_image_seeds(args.seed, dataset),
-        aggregate_metrics={f"rmse_sigma{s:g}": v for s, v in rows},
+        aggregate_metrics={f"rmse_sigma{label}": v for label, (_, v) in zip(labels, rows)},
         timings=timings,
     )
 
 
 def cmd_eval(args) -> None:
-    labels = [f"{sigma:g}" for sigma in args.sigmas]
-    if len(set(labels)) != len(labels):
-        raise DomainError(f"--sigmas repeats a noise level: {','.join(labels)}")
+    labels = _distinct_labels("--sigmas", "noise level", args.sigmas)
     dataset = _load_dataset(args.dataset)
 
     def run_one(task):

@@ -1,4 +1,4 @@
-"""Bit-exact readers and writers for binary PPM (P6), PGM (P5) and PFM.
+"""One bit-exact reader and one writer for binary PPM (P6), PGM (P5) and PFM (PF, Pf).
 
 8-bit formats map sample byte k to the float value k with no rescaling;
 writing them clamps to [0, 255] and rounds half away from zero.  PFM stores
@@ -26,32 +26,35 @@ class ImageFormatError(ValueError):
         self.offset = offset
 
 
-def _read_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
-    """Read one whitespace-delimited header token, skipping '#' comments."""
+# magic -> (channels, sample type); "f4" samples are PFM floats.
+_FORMATS = {b"P6": (3, "u1"), b"P5": (1, "u1"), b"PF": (3, "f4"), b"Pf": (1, "f4")}
+
+
+def _read_token(data: bytes, pos: int, path, parse, what: str):
+    """Parse one whitespace-delimited header token, skipping '#' comments.
+
+    Returns (value, end); a parse failure is reported at `pos`.
+    """
     n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
+    start = pos
+    while start < n:
+        c = data[start : start + 1]
         if c == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
+            while start < n and data[start : start + 1] not in (b"\n", b"\r"):
+                start += 1
         elif c.isspace():
-            pos += 1
+            start += 1
         else:
             break
-    if pos >= n:
-        raise ImageFormatError(path, pos, "unexpected end of file in header")
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace():
-        pos += 1
-    return data[start:pos], pos
-
-
-def _read_int_token(data: bytes, pos: int, path, what: str) -> tuple[int, int]:
-    token, end = _read_token(data, pos, path)
+    if start >= n:
+        raise ImageFormatError(path, start, "unexpected end of file in header")
+    end = start
+    while end < n and not data[end : end + 1].isspace():
+        end += 1
     try:
-        return int(token), end
+        return parse(data[start:end]), end
     except ValueError:
-        raise ImageFormatError(path, pos, f"invalid {what} {token!r}") from None
+        raise ImageFormatError(path, pos, f"invalid {what} {data[start:end]!r}") from None
 
 
 def read_image(path) -> ColorImage | GrayImage:
@@ -61,116 +64,59 @@ def read_image(path) -> ColorImage | GrayImage:
     if len(data) < 2:
         raise ImageFormatError(path, 0, "file too short for a magic number")
     magic = data[:2]
-    if magic in (b"P6", b"P5"):
-        return _read_pnm(data, path, magic)
-    if magic in (b"PF", b"Pf"):
-        return _read_pfm(data, path, magic)
-    raise ImageFormatError(path, 0, f"unsupported magic {magic!r}")
-
-
-def _read_pnm(data: bytes, path, magic: bytes) -> ColorImage | GrayImage:
-    width, pos = _read_int_token(data, 2, path, "width")
-    height, pos = _read_int_token(data, pos, path, "height")
-    maxval, pos = _read_int_token(data, pos, path, "maxval")
-    if width <= 0 or height <= 0:
-        raise ImageFormatError(path, 2, f"invalid dimensions {width}x{height}")
-    if maxval != 255:
-        raise ImageFormatError(path, pos, f"unsupported maxval {maxval} (only 255)")
-    # Exactly one whitespace byte separates the header from the payload.
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise ImageFormatError(path, pos, "missing whitespace before pixel data")
-    pos += 1
-    channels = 3 if magic == b"P6" else 1
-    need = width * height * channels
-    payload = data[pos : pos + need]
-    if len(payload) < need:
-        raise ImageFormatError(
-            path, pos + len(payload), f"truncated payload: expected {need} bytes, got {len(payload)}"
-        )
-    samples = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
-    if channels == 1:
-        return GrayImage(samples.reshape(height, width))
-    interleaved = samples.reshape(height, width, 3)
-    return ColorImage(np.transpose(interleaved, (2, 0, 1)))
-
-
-def _read_pfm(data: bytes, path, magic: bytes) -> ColorImage | GrayImage:
-    width, pos = _read_int_token(data, 2, path, "width")
-    height, pos = _read_int_token(data, pos, path, "height")
-    scale_token, scale_pos = _read_token(data, pos, path)
-    try:
-        scale = float(scale_token)
-    except ValueError:
-        raise ImageFormatError(path, pos, f"invalid scale {scale_token!r}") from None
-    if scale == 0.0:
+    if magic not in _FORMATS:
+        raise ImageFormatError(path, 0, f"unsupported magic {magic!r}")
+    channels, kind = _FORMATS[magic]
+    pfm = kind == "f4"
+    width, pos = _read_token(data, 2, path, int, "width")
+    height, pos = _read_token(data, pos, path, int, "height")
+    # The third field is the PFM scale (its sign is the byte order) or the PNM maxval.
+    third, end = _read_token(data, pos, path, float if pfm else int, "scale" if pfm else "maxval")
+    if pfm and third == 0.0:
         raise ImageFormatError(path, pos, "scale must be nonzero")
     if width <= 0 or height <= 0:
         raise ImageFormatError(path, 2, f"invalid dimensions {width}x{height}")
-    pos = scale_pos
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise ImageFormatError(path, pos, "missing whitespace before pixel data")
-    pos += 1
-    channels = 3 if magic == b"PF" else 1
-    need = width * height * channels * 4
+    if not pfm and third != 255:
+        raise ImageFormatError(path, end, f"unsupported maxval {third} (only 255)")
+    # Exactly one whitespace byte separates the header from the payload.
+    if end >= len(data) or not data[end : end + 1].isspace():
+        raise ImageFormatError(path, end, "missing whitespace before pixel data")
+    pos = end + 1
+    dtype = np.dtype(("<" if third < 0 else ">") + kind if pfm else kind)
+    need = width * height * channels * dtype.itemsize
     payload = data[pos : pos + need]
     if len(payload) < need:
         raise ImageFormatError(
             path, pos + len(payload), f"truncated payload: expected {need} bytes, got {len(payload)}"
         )
-    dtype = "<f4" if scale < 0 else ">f4"
-    samples = np.frombuffer(payload, dtype=dtype).astype(np.float64)
-    rows = samples.reshape(height, width, channels)
-    rows = rows[::-1]  # PFM stores rows bottom-to-top
+    rows = np.frombuffer(payload, dtype=dtype).astype(np.float64).reshape(height, width, channels)
+    if pfm:
+        rows = rows[::-1]  # PFM stores rows bottom-to-top
     if channels == 1:
         return GrayImage(rows[:, :, 0])
     return ColorImage(np.transpose(rows, (2, 0, 1)))
-
-
-def _quantize_u8(values: np.ndarray) -> np.ndarray:
-    """Clamp to [0, 255], round half away from zero, to uint8."""
-    clipped = np.clip(values, 0.0, 255.0)
-    return np.floor(clipped + 0.5).astype(np.uint8)
 
 
 def write_image(path, img: ColorImage | GrayImage) -> None:
     """Write an image; format chosen by extension (.ppm/.pgm/.pfm)."""
     path = Path(path)
     suffix = path.suffix.lower()
-    if suffix == ".pfm":
-        _write_pfm(path, img)
-    elif suffix == ".ppm":
-        if not isinstance(img, ColorImage):
-            raise ImageFormatError(path, None, ".ppm requires a ColorImage")
-        _write_ppm(path, img)
-    elif suffix == ".pgm":
-        if not isinstance(img, GrayImage):
-            raise ImageFormatError(path, None, ".pgm requires a GrayImage")
-        _write_pgm(path, img)
-    else:
+    if suffix == ".ppm" and not isinstance(img, ColorImage):
+        raise ImageFormatError(path, None, ".ppm requires a ColorImage")
+    if suffix == ".pgm" and not isinstance(img, GrayImage):
+        raise ImageFormatError(path, None, ".pgm requires a GrayImage")
+    if suffix not in (".ppm", ".pgm", ".pfm"):
         raise ImageFormatError(path, None, f"unsupported extension {suffix!r} (use .ppm/.pgm/.pfm)")
-
-
-def _write_ppm(path: Path, img: ColorImage) -> None:
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    interleaved = np.transpose(_quantize_u8(img.planes), (1, 2, 0))
-    path.write_bytes(header + interleaved.tobytes())
-
-
-def _write_pgm(path: Path, img: GrayImage) -> None:
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    path.write_bytes(header + _quantize_u8(img.plane).tobytes())
-
-
-def _write_pfm(path: Path, img: ColorImage | GrayImage) -> None:
-    if isinstance(img, ColorImage):
-        magic = b"PF"
-        rows = np.transpose(img.planes, (1, 2, 0))
+    color = isinstance(img, ColorImage)
+    rows = np.transpose(img.planes, (1, 2, 0)) if color else img.plane
+    if suffix == ".pfm":
+        magic, scale = ("PF" if color else "Pf"), "-1.0"
+        payload = rows[::-1].astype("<f4")
     else:
-        magic = b"Pf"
-        rows = img.plane
-    header = magic + f"\n{img.width} {img.height}\n-1.0\n".encode("ascii")
-    payload = rows[::-1].astype("<f4").tobytes()
-    path.write_bytes(header + payload)
+        magic, scale = ("P6" if color else "P5"), "255"
+        payload = np.floor(np.clip(rows, 0.0, 255.0) + 0.5).astype(np.uint8)
+    header = f"{magic}\n{img.width} {img.height}\n{scale}\n".encode("ascii")
+    path.write_bytes(header + payload.tobytes())
 
 
 def write_meta(path, meta: dict[str, str]) -> None:

@@ -196,18 +196,6 @@ def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig) -> TuneResult:
     )
 
 
-def sphere(x: np.ndarray) -> float:
-    """Sum of squares; minimum 0 at the origin."""
-    x = np.asarray(x)
-    return float(np.dot(x, x))
-
-
-def rosenbrock(x: np.ndarray) -> float:
-    """Classic banana valley; minimum 0 at all-ones."""
-    x = np.asarray(x)
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
-
-
 PIPELINE_BOUNDS = BoxBounds(
     lower=np.array([0.0, 0.0, 0.0, 0.0]),
     upper=np.array([1.0, 1.0, 255.0, 255.0]),
@@ -245,8 +233,6 @@ def tune_pipeline(
     cfg: CmaConfig,
     phase: str = "RGGB",
 ) -> TuneResult:
-    """CMA-ES search for the best (alpha, beta, sigma1, sigma2)."""
+    """CMA-ES search for the best (alpha, beta, sigma1, sigma2); `cfg.dimension` must be 4."""
     objective = pipeline_objective(dataset, sigma, spec, noise_seed=cfg.seed, phase=phase)
-    if cfg.dimension != 4:
-        cfg = replace(cfg, dimension=4)
     return cmaes_maximize(objective, PIPELINE_BOUNDS, cfg)

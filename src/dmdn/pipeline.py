@@ -152,8 +152,8 @@ def generalize_by_sigma(
     Keeps the blend weights; sigma values scale by sigma_star/sigma_ref and
     clamp into [0, 255].
     """
-    if sigma_ref <= 0:
-        raise DomainError("sigma_ref must be positive")
+    if sigma_star <= 0 or sigma_ref <= 0:
+        raise DomainError("sigma_star and sigma_ref must be positive")
     ratio = sigma_star / sigma_ref
     sigma1 = float(np.clip(params_ref.sigma1 * ratio, 0.0, 255.0))
     sigma2 = float(np.clip(params_ref.sigma2 * ratio, 0.0, 255.0))

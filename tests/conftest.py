@@ -1,4 +1,4 @@
-"""Shared fixtures: deterministic photo-like test images.
+"""Shared fixtures: deterministic photo-like test images and optimizer test functions.
 
 The generator mixes a 1/f-spectrum luminance field (contrast-stretched so
 shadows and highlights saturate like real photos), much smoother chroma
@@ -25,6 +25,18 @@ from dmdn.image import ColorImage, rgb_planes
 # Each test still sets its own `max_examples`.
 settings.register_profile("dmdn", deadline=None)
 settings.load_profile("dmdn")
+
+
+def sphere(x: np.ndarray) -> float:
+    """Sum of squares; minimum 0 at the origin."""
+    x = np.asarray(x)
+    return float(np.dot(x, x))
+
+
+def rosenbrock(x: np.ndarray) -> float:
+    """Classic banana valley; minimum 0 at all-ones."""
+    x = np.asarray(x)
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
 
 
 def spectral_field(rng: np.random.Generator, size: int, slope: float) -> np.ndarray:

@@ -41,8 +41,6 @@ from dmdn.optimize import (
     CmaConfig,
     cmaes_maximize,
     pipeline_objective,
-    rosenbrock,
-    sphere,
     tune_pipeline,
 )
 from dmdn.pipeline import (
@@ -55,7 +53,7 @@ from dmdn.pipeline import (
     sweep_k,
 )
 
-from conftest import detailed_crop, make_natural
+from conftest import detailed_crop, make_natural, rosenbrock, sphere
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -240,6 +240,15 @@ def test_exit_codes(tmp_path, capsys):
     for sigmas in ("20,20", "20,20.0000001"):  # repeated noise level (same label)
         assert run("eval", "--dataset", data, "--sigmas", sigmas, "--out", tmp_path / "e") == 4
     assert not (tmp_path / "e").exists()
+    capsys.readouterr()
+    # a repeated label would keep only one of two manifest metrics
+    for flag, argv in (
+        ("--k-list", ("pipeline", "sweep-k", "--sigma", 5, "--k-list", "1,1.0000001", "--out", tmp_path / "k.csv")),
+        ("--sigmas", ("rmse-table", "--sigmas", "5,5.0000001", "--out", tmp_path / "r.csv")),
+    ):
+        assert run(*argv, "--dataset", data) == 4
+        assert f"{flag} repeats a" in capsys.readouterr().err
+    assert not (tmp_path / "k.csv").exists() and not (tmp_path / "r.csv").exists()
     cfa = tmp_path / "v.pfm"
     assert run("mosaic", "--input", img, "--out", cfa) == 0
     assert run("stats", "--estimate", cfa, "--truth", img, "--out", tmp_path / "s.csv") == 4  # gray estimate

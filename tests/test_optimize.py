@@ -9,11 +9,11 @@ from dmdn.optimize import (
     BoxBounds,
     CmaConfig,
     cmaes_maximize,
-    rosenbrock,
-    sphere,
     tune_pipeline,
 )
 from dmdn.pipeline import PipelineParams, PipelineSpec
+
+from conftest import rosenbrock, sphere
 
 
 def box(n, lo=-5.0, hi=5.0):
@@ -152,6 +152,15 @@ def test_tune_pipeline_rejects_empty_dataset():
     spec = PipelineSpec(PipelineParams(0.0, 0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
         tune_pipeline([], 20.0, spec, CmaConfig(dimension=4, max_evals=100, seed=0))
+
+
+@pytest.mark.parametrize("max_evals", [16, 7])
+def test_tune_pipeline_rejects_a_config_of_another_dimension(max_evals):
+    # the pipeline search is 4-D; a 2-D config is an error, not silently widened
+    dataset = [ColorImage(np.full((3, 8, 8), 77.0))]
+    spec = PipelineSpec(PipelineParams(0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(DomainError, match="bounds dimension does not match config"):
+        tune_pipeline(dataset, 10.0, spec, CmaConfig(dimension=2, max_evals=max_evals))
 
 
 def test_tune_pipeline_is_deterministic():

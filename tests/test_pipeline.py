@@ -179,6 +179,9 @@ def test_generalize_by_sigma_clamps():
     assert scaled.sigma1 == 255.0 and scaled.sigma2 == 255.0
     with pytest.raises(DomainError):
         generalize_by_sigma(params, 0.0, 20.0)
+    for sigma_star in (-5.0, 0.0):  # rescaling to no noise would zero both sigmas
+        with pytest.raises(DomainError, match="sigma_star and sigma_ref must be positive"):
+            generalize_by_sigma(PipelineParams(0.5, 1.0, 10.0, 30.0), 20.0, sigma_star)
 
 
 def test_generalize_by_image_identity_at_equal_sigma():
