@@ -221,7 +221,7 @@ def cmd_pipeline_preset(args) -> None:
 
 
 def cmd_pipeline_sweep_k(args) -> None:
-    labels = _distinct_labels("--k-list", "factor", args.k_list)
+    _distinct_labels("--k-list", "factor", args.k_list)
     dataset = _load_dataset(args.dataset)
 
     def one(task):
@@ -243,10 +243,10 @@ def cmd_pipeline_sweep_k(args) -> None:
         master_seed=args.seed,
         per_image_seeds=_image_seeds(args.seed, dataset),
         per_image_metrics={
-            name: {f"cpsnr_k{label}": row[1] for label, row in zip(labels, rows)}
+            name: {f"cpsnr_k{k:g}": rows[i][1] for i, k in enumerate(args.k_list)}
             for (name, _), rows in zip(dataset, per_image)
         },
-        aggregate_metrics={f"mean_cpsnr_k{label}": m for label, m in zip(labels, means)},
+        aggregate_metrics={f"mean_cpsnr_k{k:g}": m for k, m in zip(args.k_list, means)},
         timings=timings,
     )
 
@@ -327,7 +327,7 @@ def cmd_stats(args) -> None:
 
 
 def cmd_rmse_table(args) -> None:
-    labels = _distinct_labels("--sigmas", "noise level", args.sigmas)
+    _distinct_labels("--sigmas", "noise level", args.sigmas)
     dataset = _load_dataset(args.dataset)
     with stage({}, "rmse_table") as timings:
         rows = rmse_table([img for _, img in dataset], args.method, args.sigmas, args.seed, phase=args.phase)
@@ -338,7 +338,7 @@ def cmd_rmse_table(args) -> None:
         [out],
         master_seed=args.seed,
         per_image_seeds=_image_seeds(args.seed, dataset),
-        aggregate_metrics={f"rmse_sigma{label}": v for label, (_, v) in zip(labels, rows)},
+        aggregate_metrics={f"rmse_sigma{s:g}": v for s, v in rows},
         timings=timings,
     )
 
