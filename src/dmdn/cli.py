@@ -30,6 +30,7 @@ from .mosaic import PHASES, CfaImage, mosaick, read_cfa, write_cfa
 from .noise import NoiseSpec, add_awgn, derive_seed, noisy_mosaics, poisson_sample
 from .optimize import CmaConfig, tune_pipeline
 from .pipeline import (
+    PARAMETERS,
     PRESET_NAMES,
     PipelineParams,
     PipelineSpec,
@@ -199,14 +200,13 @@ def cmd_denoise(args) -> None:
 
 def cmd_pipeline_run(args) -> None:
     v = read_cfa(args.input)
-    spec = _spec_from_args(args, PipelineParams(args.alpha, args.beta, args.sigma1, args.sigma2))
+    spec = _spec_from_args(args, PipelineParams(*(getattr(args, name) for name in PARAMETERS)))
+    truth = _read_color(args.truth) if args.truth else None
     timings: dict = {}
     out_img = run_pipeline(v, spec, timings=timings)
+    metrics = {} if truth is None else {"cpsnr": _finite_or_none(cpsnr(out_img, truth))}
     out = Path(args.out)
     formats.write_image(out, out_img)
-    metrics = {}
-    if args.truth:
-        metrics["cpsnr"] = _finite_or_none(cpsnr(out_img, _read_color(args.truth)))
     _write_manifest(
         args,
         [out],
@@ -254,12 +254,7 @@ def cmd_pipeline_sweep_k(args) -> None:
 def cmd_tune(args) -> None:
     dataset = _load_dataset(args.dataset)
     spec = _spec_from_args(args, PipelineParams(0.0, 0.0, 0.0, 0.0))
-    cfg = CmaConfig(
-        dimension=4,
-        population=args.population,
-        max_evals=args.max_evals,
-        seed=args.seed,
-    )
+    cfg = CmaConfig(population=args.population, max_evals=args.max_evals, seed=args.seed)
     with stage({}, "tune") as timings:
         result = tune_pipeline([img for _, img in dataset], args.sigma, spec, cfg, phase=args.phase)
 
@@ -269,7 +264,7 @@ def cmd_tune(args) -> None:
     _write_json(
         result_path,
         {
-            "best_params": dict(zip(("alpha", "beta", "sigma1", "sigma2"), map(float, result.best_params))),
+            "best_params": dict(zip(PARAMETERS, map(float, result.best_params))),
             "best_cpsnr": _finite_or_none(result.best_value),
             "termination": result.termination,
             "evaluations": result.evaluations,
@@ -345,6 +340,7 @@ def cmd_rmse_table(args) -> None:
 
 def cmd_eval(args) -> None:
     labels = _distinct_labels("--sigmas", "noise level", args.sigmas)
+    params = [{name: preset(name, sigma) for name in PRESET_NAMES} for sigma in args.sigmas]
     dataset = _load_dataset(args.dataset)
 
     def run_one(task):
@@ -352,8 +348,8 @@ def cmd_eval(args) -> None:
         name, truth = dataset[index]
         timings: dict = {}
         scores = {}
-        for preset_name in PRESET_NAMES:
-            spec = _spec_from_args(args, preset(preset_name, args.sigmas[k]))
+        for preset_name, preset_params in params[k].items():
+            spec = _spec_from_args(args, preset_params)
             scores[f"{preset_name}_sigma{labels[k]}"] = cpsnr(run_pipeline(noisy, spec, timings=timings), truth)
         return name, scores, timings
 
@@ -369,13 +365,13 @@ def cmd_eval(args) -> None:
 
     aggregate = {}
     rows = []
-    for sigma, label in zip(args.sigmas, labels):
-        for preset_name in PRESET_NAMES:
+    for sigma, label, by_preset in zip(args.sigmas, labels, params):
+        for preset_name, preset_params in by_preset.items():
             key = f"{preset_name}_sigma{label}"
             aggregate[key] = math.fsum(scores[key] for scores in per_image.values()) / len(dataset)
-            rows.append([sigma, preset_name, *astuple(preset(preset_name, sigma)), f"{aggregate[key]:.6f}"])
+            rows.append([sigma, preset_name, *astuple(preset_params), f"{aggregate[key]:.6f}"])
     csv_path = Path(args.out) / "eval.csv"
-    _write_csv(csv_path, ["sigma", "method", "alpha", "beta", "sigma1", "sigma2", "mean_cpsnr"], rows)
+    _write_csv(csv_path, ["sigma", "method", *PARAMETERS, "mean_cpsnr"], rows)
     _write_manifest(
         args,
         [csv_path],
@@ -502,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     pipe_sub = pipe.add_subparsers(dest="pipeline_command", required=True)
 
     p = _command(pipe_sub, "run", cmd_pipeline_run, "run the blended pipeline on a CFA", "input", "out")
-    for name in ("--alpha", "--beta", "--sigma1", "--sigma2"):
-        p.add_argument(name, type=float, required=True)
+    for name in PARAMETERS:
+        p.add_argument(f"--{name}", type=float, required=True)
     _add_component_flags(p)
     p.add_argument("--truth", default=None)
 

@@ -9,7 +9,6 @@ field to all three channels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .image import ColorImage, DomainError, coerce_enum, opponent_planes, rgb_planes
+from .image import SIGMA_RANGE, ColorImage, check_range, coerce_enum, opponent_planes, rgb_planes
 from .mosaic import CfaImage, HalfPair, recombine_cfa, split_cfa
 
 
@@ -45,8 +44,7 @@ class DenoiseConfig:
     sigma: float
 
     def __post_init__(self):
-        if not (0 <= self.sigma < math.inf):
-            raise DomainError(f"sigma must be >= 0 and finite, got {self.sigma}")
+        check_range("sigma", self.sigma, SIGMA_RANGE)
 
 
 def _dct_matrix(n: int) -> np.ndarray:

@@ -89,7 +89,9 @@ def read_image(path) -> ColorImage | GrayImage:
         raise ImageFormatError(
             path, pos + len(payload), f"truncated payload: expected {need} bytes, got {len(payload)}"
         )
-    rows = np.frombuffer(payload, dtype=dtype).astype(np.float64).reshape(height, width, channels)
+    # A signalling NaN warns in the cast; the container rejects it as non-finite.
+    with np.errstate(invalid="ignore"):
+        rows = np.frombuffer(payload, dtype=dtype).astype(np.float64).reshape(height, width, channels)
     if pfm:
         rows = rows[::-1]  # PFM stores rows bottom-to-top
     if channels == 1:

@@ -18,6 +18,18 @@ class DomainError(ValueError):
     """Input violates an operation's domain (bad shape, non-finite data, ...)."""
 
 
+# Noise levels (stage sigmas and simulated AWGN) in intensity units.
+SIGMA_RANGE = (0.0, 255.0)
+
+
+def check_range(name: str, value, bounds):
+    """`value` if it lies in the closed interval `bounds`; NaN never does."""
+    lo, hi = bounds
+    if not (lo <= value <= hi):
+        raise DomainError(f"{name} must be in [{lo:g}, {hi:g}], got {value}")
+    return value
+
+
 def coerce_enum(kind: type[Enum], name, what: str):
     """The member of the str-valued enum `kind` named `name` (case-insensitive)."""
     if isinstance(name, kind):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import ColorImage, DomainError, GrayImage
+from .image import SIGMA_RANGE, ColorImage, DomainError, GrayImage, check_range
 from .mosaic import CfaImage, mosaick
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -41,14 +41,13 @@ def derive_seed(master_seed: int, image_index: int) -> int:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Gaussian noise level (intensity units on the [0, 255] scale) and seed."""
+    """Gaussian noise level (intensity units, within SIGMA_RANGE) and seed."""
 
     sigma: float
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.sigma < math.inf):
-            raise DomainError(f"sigma must be >= 0 and finite, got {self.sigma}")
+        check_range("sigma", self.sigma, SIGMA_RANGE)
 
 
 def _to_bits(words: np.ndarray) -> np.ndarray:
@@ -206,7 +205,7 @@ def noisy_mosaics(dataset: list[ColorImage], sigmas: list[float], seed: int, pha
     """
     if not dataset:
         raise DomainError("dataset must be non-empty")
-    sigmas = [NoiseSpec(sigma).sigma for sigma in sigmas]  # rejects a negative or NaN sigma
+    sigmas = [check_range("sigma", sigma, SIGMA_RANGE) for sigma in sigmas]
     for index, truth in enumerate(dataset):
         clean = mosaick(truth, phase)
         field = normal_field(derive_seed(seed, index), clean.plane.shape)

@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import cpsnr
 from .image import ColorImage, DomainError
 from .noise import RngStream, noisy_mosaics
-from .pipeline import PipelineParams, PipelineSpec, run_pipeline
+from .pipeline import PARAMETERS, PipelineParams, PipelineSpec, run_pipeline
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class BoxBounds:
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=np.float64)
         upper = np.asarray(self.upper, dtype=np.float64)
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise DomainError("bounds must be 1-d arrays of equal length")
+        if lower.shape != upper.shape or lower.ndim != 1 or lower.size == 0:
+            raise DomainError("bounds must be non-empty 1-d arrays of equal length")
         if not np.all(lower < upper):
             raise DomainError("every lower bound must be strictly below its upper bound")
         object.__setattr__(self, "lower", lower)
@@ -49,25 +49,19 @@ STAGNATION_WINDOW = 20
 
 @dataclass(frozen=True)
 class CmaConfig:
-    dimension: int
-    population: int | None = None  # default 4 + floor(3 ln n)
+    population: int | None = None  # default 4 + floor(3 ln n) for an n-dimensional box
     max_evals: int = 10_000
     stagnation_tol: float = 1e-4
     seed: int = 0
 
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise DomainError("dimension must be >= 1")
-        lam = self.resolved_population()
+    def resolved_population(self, n: int) -> int:
+        """The population of a search over n dimensions; the budget must cover one generation."""
+        lam = 4 + int(3 * math.log(n)) if self.population is None else self.population
         if lam < 2:
             raise DomainError("population must be >= 2")
         if self.max_evals < lam:
             raise DomainError(f"max_evals {self.max_evals} is below the population {lam}")
-
-    def resolved_population(self) -> int:
-        if self.population is not None:
-            return self.population
-        return 4 + int(3 * math.log(self.dimension))
+        return lam
 
 
 @dataclass
@@ -102,10 +96,8 @@ def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig) -> TuneResult:
     candidate sequence unchanged for a fixed seed.  NaN scores rank worst;
     a generation of only NaNs raises AllCandidatesInvalid.
     """
-    n = cfg.dimension
-    if bounds.dimension != n:
-        raise DomainError("bounds dimension does not match config")
-    lam = cfg.resolved_population()
+    n = bounds.dimension
+    lam = cfg.resolved_population(n)
     mu = lam // 2
     weights, mueff = _recombination_weights(lam, mu)
 
@@ -196,10 +188,7 @@ def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig) -> TuneResult:
     )
 
 
-PIPELINE_BOUNDS = BoxBounds(
-    lower=np.array([0.0, 0.0, 0.0, 0.0]),
-    upper=np.array([1.0, 1.0, 255.0, 255.0]),
-)
+PIPELINE_BOUNDS = BoxBounds(*zip(*PARAMETERS.values()))
 
 
 def pipeline_objective(
@@ -233,6 +222,7 @@ def tune_pipeline(
     cfg: CmaConfig,
     phase: str = "RGGB",
 ) -> TuneResult:
-    """CMA-ES search for the best (alpha, beta, sigma1, sigma2); `cfg.dimension` must be 4."""
+    """CMA-ES search for the best pipeline PARAMETERS over PIPELINE_BOUNDS."""
+    cfg.resolved_population(PIPELINE_BOUNDS.dimension)  # reject the budget before drawing any noise
     objective = pipeline_objective(dataset, sigma, spec, noise_seed=cfg.seed, phase=phase)
     return cmaes_maximize(objective, PIPELINE_BOUNDS, cfg)

@@ -19,11 +19,14 @@ import numpy as np
 from .analysis import cpsnr
 from .demosaic import DemosaicerId, demosaic
 from .denoise import DenoiseConfig, DenoiserId, denoise_cfa, denoise_rgb
-from .image import ColorImage, DomainError
+from .image import SIGMA_RANGE, ColorImage, DomainError, check_range
 from .mosaic import CfaImage
 from .noise import anscombe, anscombe_inverse
 
 PRESET_NAMES = ("dndm", "dmdn", "dm15dn")
+
+# The blend's parameters and their closed ranges, in PipelineParams field order.
+PARAMETERS = {"alpha": (0, 1), "beta": (0, 1), "sigma1": SIGMA_RANGE, "sigma2": SIGMA_RANGE}
 
 
 @dataclass(frozen=True)
@@ -36,14 +39,8 @@ class PipelineParams:
     sigma2: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise DomainError(f"{name} must be in [0, 1], got {v}")
-        for name in ("sigma1", "sigma2"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 255.0):
-                raise DomainError(f"{name} must be in [0, 255], got {v}")
+        for name, bounds in PARAMETERS.items():
+            check_range(name, getattr(self, name), bounds)
 
 
 @dataclass(frozen=True)
@@ -108,8 +105,7 @@ def run_pipeline(v: CfaImage, spec: PipelineSpec, timings: dict | None = None) -
 
 def preset(name: str, sigma: float) -> PipelineParams:
     """Named parameter mappings for the three classic orderings."""
-    if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
+    check_range("sigma", sigma, SIGMA_RANGE)
     key = name.lower().replace("&", "").replace("_", "").replace("-", "").replace(".", "")
     if key in ("dndm", "dn1dm"):
         return PipelineParams(1.0, 0.0, sigma, 0.0)
@@ -150,13 +146,13 @@ def generalize_by_sigma(
     """Rescale the stage noise parameters to a nearby noise level.
 
     Keeps the blend weights; sigma values scale by sigma_star/sigma_ref and
-    clamp into [0, 255].
+    clamp into SIGMA_RANGE.
     """
     if sigma_star <= 0 or sigma_ref <= 0:
         raise DomainError("sigma_star and sigma_ref must be positive")
     ratio = sigma_star / sigma_ref
-    sigma1 = float(np.clip(params_ref.sigma1 * ratio, 0.0, 255.0))
-    sigma2 = float(np.clip(params_ref.sigma2 * ratio, 0.0, 255.0))
+    sigma1 = float(np.clip(params_ref.sigma1 * ratio, *SIGMA_RANGE))
+    sigma2 = float(np.clip(params_ref.sigma2 * ratio, *SIGMA_RANGE))
     return PipelineParams(params_ref.alpha, params_ref.beta, sigma1, sigma2)
 
 

@@ -304,12 +304,12 @@ def test_criterion_7_cmaes_sanity():
     t0 = time.perf_counter()
 
     bounds10 = BoxBounds(np.full(10, -5.0), np.full(10, 5.0))
-    cfg10 = CmaConfig(dimension=10, max_evals=20_000, stagnation_tol=0.0, seed=1)
+    cfg10 = CmaConfig(max_evals=20_000, stagnation_tol=0.0, seed=1)
     res_sphere = cmaes_maximize(lambda x: -sphere(x), bounds10, cfg10)
     sphere_value = -res_sphere.best_value
 
     bounds6 = BoxBounds(np.full(6, -5.0), np.full(6, 5.0))
-    cfg6 = CmaConfig(dimension=6, max_evals=60_000, stagnation_tol=0.0, seed=1)
+    cfg6 = CmaConfig(max_evals=60_000, stagnation_tol=0.0, seed=1)
     res_rosen = cmaes_maximize(lambda x: -rosenbrock(x), bounds6, cfg6)
     rosen_value = -res_rosen.best_value
 
@@ -320,13 +320,13 @@ def test_criterion_7_cmaes_sanity():
             seen.append(tuple(x))
             return transform(-sphere(x))
 
-        cfg = CmaConfig(dimension=4, max_evals=400, stagnation_tol=0.0, seed=seed)
+        cfg = CmaConfig(max_evals=400, stagnation_tol=0.0, seed=seed)
         cmaes_maximize(objective, BoxBounds(np.full(4, -5.0), np.full(4, 5.0)), cfg)
         return seen
 
     invariant = record_candidates(lambda v: v, 9) == record_candidates(math.exp, 9)
 
-    cfg_det = CmaConfig(dimension=3, max_evals=600, seed=4)
+    cfg_det = CmaConfig(max_evals=600, seed=4)
     b3 = BoxBounds(np.full(3, -5.0), np.full(3, 5.0))
     r1 = cmaes_maximize(lambda x: -sphere(x), b3, cfg_det)
     r2 = cmaes_maximize(lambda x: -sphere(x), b3, cfg_det)
@@ -363,7 +363,7 @@ def test_criterion_8_pipeline_tuning():
     ]
     spec = PipelineSpec(PipelineParams(0.0, 0.0, 0.0, 0.0))
 
-    cfg = CmaConfig(dimension=4, max_evals=3000, seed=11)
+    cfg = CmaConfig(max_evals=3000, seed=11)
     result = tune_pipeline(crops, sigma, spec, cfg)
     alpha, beta, sigma1, sigma2 = (float(v) for v in result.best_params)
 

@@ -1,10 +1,12 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from dmdn import formats
-from dmdn.cli import main
+from dmdn import cli, formats
+from dmdn.cli import build_parser, main
 from dmdn.image import ColorImage
 from dmdn.mosaic import read_cfa
 from dmdn.noise import RngStream
@@ -228,8 +230,16 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     for argv in (("noise",), ("denoise", "--method", "dct8"), ("denoise", "--method", "nlmeans")):
         assert run(*argv, "--input", img, "--sigma", "inf", "--out", tmp_path / "o.ppm") == 4
-        assert "sigma must be >= 0 and finite, got inf" in capsys.readouterr().err
+        assert "sigma must be in [0, 255], got inf" in capsys.readouterr().err
     assert not (tmp_path / "o.ppm").exists()
+    # a noise level outside the [0, 255] sigma scale
+    assert run("noise", "--input", img, "--sigma", "1e300", "--out", tmp_path / "x.pfm") == 4
+    assert not (tmp_path / "x.pfm").exists()
+    assert run("denoise", "--input", img, "--method", "nlmeans", "--sigma", "1e300", "--out", tmp_path / "o.ppm") == 4
+    assert run("noise", "--input", img, "--sigma", 256, "--out", tmp_path / "o.ppm") == 4
+    assert not (tmp_path / "o.ppm").exists()
+    assert "sigma must be in [0, 255], got 256.0" in capsys.readouterr().err
+    assert run("noise", "--input", img, "--sigma", 255, "--out", tmp_path / "o.ppm") == 0
     assert run("stats", "--residual", img, "--crop", 2, "--lags", -1, "--out", tmp_path / "s.csv") == 4
     assert run("stats", "--residual", img, "--crop", -1, "--out", tmp_path / "s.csv") == 4
     data = tmp_path / "data"
@@ -237,6 +247,11 @@ def test_exit_codes(tmp_path, capsys):
     formats.write_image(data / "img.ppm", make_natural(1, size=16))
     assert run("tune", "--dataset", data, "--sigma", 10, "--max-evals", 0, "--out", tmp_path / "t") == 4
     assert not (tmp_path / "t").exists()  # budget below one generation
+    assert run("tune", "--dataset", data, "--sigma", "1e200", "--max-evals", 8, "--out", tmp_path / "t") == 4
+    assert not (tmp_path / "t").exists()
+    assert run("pipeline", "sweep-k", "--dataset", data, "--sigma", "1e300", "--k-list", 0, "--out", tmp_path / "k.csv") == 4
+    assert run("rmse-table", "--dataset", data, "--sigmas", "1e300", "--out", tmp_path / "r.csv") == 4
+    assert not (tmp_path / "k.csv").exists() and not (tmp_path / "r.csv").exists()
     for sigmas in ("20,20", "20,20.0000001"):  # repeated noise level (same label)
         assert run("eval", "--dataset", data, "--sigmas", sigmas, "--out", tmp_path / "e") == 4
     assert not (tmp_path / "e").exists()
@@ -252,6 +267,13 @@ def test_exit_codes(tmp_path, capsys):
     cfa = tmp_path / "v.pfm"
     assert run("mosaic", "--input", img, "--out", cfa) == 0
     assert run("stats", "--estimate", cfa, "--truth", img, "--out", tmp_path / "s.csv") == 4  # gray estimate
+    # a missing truth, or one of another size, leaves no pipeline output behind
+    other_size = tmp_path / "big.ppm"
+    formats.write_image(other_size, make_natural(1, size=32))
+    for truth, code in ((tmp_path / "nope.ppm", 3), (other_size, 4)):
+        assert run("pipeline", "run", "--input", cfa, "--alpha", 0.5, "--beta", 1, "--sigma1", 5,
+                   "--sigma2", 10, "--truth", truth, "--out", tmp_path / "p.ppm") == code
+        assert not (tmp_path / "p.ppm").exists() and not (tmp_path / "p.manifest.json").exists()
     # output path the writers cannot serve, malformed sidecar -> I/O error
     assert run("demosaic", "--input", cfa, "--out", tmp_path / "x.png") == 3
     assert run("noise", "--input", cfa, "--sigma", 5, "--out", tmp_path / "n.ppm") == 3  # gray CFA as .ppm
@@ -310,3 +332,25 @@ def test_each_image_noise_field_is_drawn_once(tmp_path, dataset_dir, monkeypatch
     draws.clear()
     assert run("eval", "--dataset", dataset_dir, "--sigmas", "5,20", "--out", tmp_path / "e") == 0
     assert len(draws) == 2  # not one per (image, sigma, preset)
+
+
+def test_eval_checks_every_preset_before_running_a_pipeline(tmp_path, dataset_dir, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_pipeline", lambda *a, **k: pytest.fail("a pipeline ran"))
+    # dm15dn at sigma 200 asks for sigma2 = 300
+    assert run("eval", "--dataset", dataset_dir, "--sigmas", "5,200", "--out", tmp_path / "e") == 4
+    assert "sigma2 must be in [0, 255], got 300.0" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line, comments=True)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("dmdn ")
+    ]
+    assert len(commands) == 13
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])  # exits 2 on an unknown or missing flag

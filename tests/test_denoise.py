@@ -37,7 +37,7 @@ def noise_image(seed, sigma=20.0, h=64, w=64):
 
 def test_config_validation():
     for sigma in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(DomainError, match="sigma must be >= 0 and finite"):
+        with pytest.raises(DomainError, match=r"sigma must be in \[0, 255\]"):
             DenoiseConfig(sigma=sigma)
 
 

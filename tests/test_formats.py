@@ -14,7 +14,7 @@ from dmdn.formats import (
     write_image,
     write_meta,
 )
-from dmdn.image import ColorImage, GrayImage
+from dmdn.image import ColorImage, DomainError, GrayImage
 from dmdn.mosaic import CfaImage
 
 
@@ -118,6 +118,14 @@ def test_big_endian_pfm_is_readable(tmp_path):
     path.write_bytes(b"Pf\n2 1\n1.0\n" + payload)
     img = read_image(path)
     assert img.plane.tolist() == [[1.5, -2.0]]
+
+
+def test_signalling_nan_pfm_is_only_a_domain_error(tmp_path):
+    # 0x7f800001 is a signalling NaN; its float64 cast must not warn first
+    path = tmp_path / "snan.pfm"
+    path.write_bytes(b"Pf\n2 1\n-1.0\n" + np.array([0x7F800001, 0], dtype="<u4").tobytes())
+    with pytest.raises(DomainError, match="non-finite values are not allowed"):
+        read_image(path)
 
 
 def test_meta_sidecar_round_trip(tmp_path):
@@ -239,7 +247,9 @@ def _ref_read_pfm(data: bytes, path, magic: bytes):
             path, pos + len(payload), f"truncated payload: expected {need} bytes, got {len(payload)}"
         )
     dtype = "<f4" if scale < 0 else ">f4"
-    samples = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+    # As in `read_image`: a signalling NaN is reported as non-finite, not as a cast warning.
+    with np.errstate(invalid="ignore"):
+        samples = np.frombuffer(payload, dtype=dtype).astype(np.float64)
     rows = samples.reshape(height, width, channels)
     rows = rows[::-1]
     if channels == 1:
@@ -378,6 +388,7 @@ def _image_files(draw) -> bytes:
 @example(b"PF\n0 2\n0.0\n")  # PFM checks the scale before the dimensions
 @example(b"P5\n0 2\n7\n")  # PNM checks the dimensions before maxval
 @example(b"P6\n2 2\n255\n" + bytes(5))
+@example(b"Pf\n2 1\n-1.0\n" + np.array([0x7F800001, 0], dtype="<u4").tobytes())  # signalling NaN
 def test_reader_matches_reference_codec(data):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d, "img.bin")

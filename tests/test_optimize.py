@@ -25,23 +25,30 @@ def test_bounds_validation():
         BoxBounds(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(DomainError):
         BoxBounds(np.zeros((2, 2)), np.ones((2, 2)))
+    with pytest.raises(DomainError, match="non-empty"):
+        BoxBounds(np.array([]), np.array([]))
 
 
 def test_config_rejects_budget_below_one_generation():
     with pytest.raises(DomainError):
-        CmaConfig(dimension=4, max_evals=7)  # population 8
+        CmaConfig(max_evals=7).resolved_population(4)  # population 8
     with pytest.raises(DomainError):
-        CmaConfig(dimension=2, population=6, max_evals=0)
-    assert CmaConfig(dimension=4, max_evals=8).max_evals == 8
+        CmaConfig(population=6, max_evals=0).resolved_population(2)
+    with pytest.raises(DomainError, match="population must be >= 2"):
+        CmaConfig(population=1).resolved_population(2)
+    assert CmaConfig(max_evals=8).resolved_population(4) == 8
+    spec = PipelineSpec(PipelineParams(0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(DomainError, match="below the population 8"):  # checked before the dataset
+        tune_pipeline([], 20.0, spec, CmaConfig(max_evals=7))
 
 
 def test_default_population_rule():
-    assert CmaConfig(dimension=10).resolved_population() == 4 + int(3 * math.log(10))
-    assert CmaConfig(dimension=4).resolved_population() == 8
+    assert CmaConfig().resolved_population(10) == 4 + int(3 * math.log(10))
+    assert CmaConfig().resolved_population(4) == 8
 
 
 def test_determinism_per_seed():
-    cfg = CmaConfig(dimension=3, max_evals=600, seed=21)
+    cfg = CmaConfig(max_evals=600, seed=21)
     a = cmaes_maximize(lambda x: -sphere(x), box(3), cfg)
     b = cmaes_maximize(lambda x: -sphere(x), box(3), cfg)
     assert np.array_equal(a.best_params, b.best_params)
@@ -51,7 +58,7 @@ def test_determinism_per_seed():
 
 def test_sphere_trajectory_matches_recorded_result():
     # Recorded reference: the generation loop must reproduce it bit for bit.
-    cfg = CmaConfig(dimension=3, max_evals=600, seed=21)
+    cfg = CmaConfig(max_evals=600, seed=21)
     result = cmaes_maximize(lambda x: -sphere(x), box(3), cfg)
     assert result.best_value == -2.260687393631141e-09
     assert result.evaluations == 378
@@ -69,7 +76,7 @@ def test_monotone_transform_invariance_of_candidates():
             seen.append(np.array(x))
             return transform(-sphere(x))
 
-        cfg = CmaConfig(dimension=4, max_evals=400, stagnation_tol=0.0, seed=3)
+        cfg = CmaConfig(max_evals=400, stagnation_tol=0.0, seed=3)
         cmaes_maximize(objective, box(4), cfg)
         return seen
 
@@ -81,7 +88,7 @@ def test_monotone_transform_invariance_of_candidates():
 
 
 def test_best_trace_is_non_decreasing():
-    cfg = CmaConfig(dimension=5, max_evals=800, seed=5)
+    cfg = CmaConfig(max_evals=800, seed=5)
     result = cmaes_maximize(lambda x: -sphere(x), box(5), cfg)
     bests = [b for b, _ in result.trace]
     assert all(x <= y for x, y in zip(bests, bests[1:]))
@@ -95,7 +102,7 @@ def test_optimum_at_box_edge():
     objective = lambda x: -((x[0] - 6.0) ** 2)
     grid = np.linspace(-5.0, 5.0, 10001)
     assert grid[np.argmax(-((grid - 6.0) ** 2))] == 5.0
-    cfg = CmaConfig(dimension=1, population=6, max_evals=600, seed=7)
+    cfg = CmaConfig(population=6, max_evals=600, seed=7)
     result = cmaes_maximize(objective, box(1), cfg)
     assert abs(result.best_params[0] - 5.0) <= 1e-6
 
@@ -106,25 +113,25 @@ def test_nan_candidates_rank_worst():
             return math.nan
         return -sphere(x)
 
-    cfg = CmaConfig(dimension=2, max_evals=500, seed=11)
+    cfg = CmaConfig(max_evals=500, seed=11)
     result = cmaes_maximize(objective, box(2), cfg)
     assert result.best_params[0] <= 0.0
     assert math.isfinite(result.best_value)
 
 
 def test_all_nan_generation_aborts():
-    cfg = CmaConfig(dimension=2, max_evals=100, seed=1)
+    cfg = CmaConfig(max_evals=100, seed=1)
     with pytest.raises(AllCandidatesInvalid):
         cmaes_maximize(lambda x: math.nan, box(2), cfg)
 
 
 def test_stagnation_termination_and_budget():
-    cfg = CmaConfig(dimension=2, max_evals=10_000, seed=2)
+    cfg = CmaConfig(max_evals=10_000, seed=2)
     result = cmaes_maximize(lambda x: 1.0, box(2), cfg)
     assert result.termination == "stagnation"
     assert result.generations == 21  # window of 20 + 1
     capped = cmaes_maximize(
-        lambda x: -sphere(x), box(2), CmaConfig(dimension=2, max_evals=50, seed=2, stagnation_tol=0.0)
+        lambda x: -sphere(x), box(2), CmaConfig(max_evals=50, seed=2, stagnation_tol=0.0)
     )
     assert capped.termination == "max_evals"
     assert capped.evaluations <= 50
@@ -132,7 +139,7 @@ def test_stagnation_termination_and_budget():
 
 
 def test_rosenbrock_smoke():
-    cfg = CmaConfig(dimension=4, max_evals=12_000, stagnation_tol=0.0, seed=13)
+    cfg = CmaConfig(max_evals=12_000, stagnation_tol=0.0, seed=13)
     result = cmaes_maximize(lambda x: -rosenbrock(x), box(4), cfg)
     assert -result.best_value < 1e-6
 
@@ -140,7 +147,7 @@ def test_rosenbrock_smoke():
 def test_tune_pipeline_degenerate_constant_dataset():
     dataset = [ColorImage(np.full((3, 24, 24), 77.0)) for _ in range(2)]
     spec = PipelineSpec(PipelineParams(0.0, 0.0, 0.0, 0.0))
-    cfg = CmaConfig(dimension=4, max_evals=2000, seed=3)
+    cfg = CmaConfig(max_evals=2000, seed=3)
     result = tune_pipeline(dataset, 0.0, spec, cfg)
     # every parameter choice reproduces the constant exactly: CPSNR is
     # infinite everywhere and the tuner stops by stagnation
@@ -151,23 +158,14 @@ def test_tune_pipeline_degenerate_constant_dataset():
 def test_tune_pipeline_rejects_empty_dataset():
     spec = PipelineSpec(PipelineParams(0.0, 0.0, 0.0, 0.0))
     with pytest.raises(DomainError):
-        tune_pipeline([], 20.0, spec, CmaConfig(dimension=4, max_evals=100, seed=0))
-
-
-@pytest.mark.parametrize("max_evals", [16, 7])
-def test_tune_pipeline_rejects_a_config_of_another_dimension(max_evals):
-    # the pipeline search is 4-D; a 2-D config is an error, not silently widened
-    dataset = [ColorImage(np.full((3, 8, 8), 77.0))]
-    spec = PipelineSpec(PipelineParams(0.0, 0.0, 0.0, 0.0))
-    with pytest.raises(DomainError, match="bounds dimension does not match config"):
-        tune_pipeline(dataset, 10.0, spec, CmaConfig(dimension=2, max_evals=max_evals))
+        tune_pipeline([], 20.0, spec, CmaConfig(max_evals=100, seed=0))
 
 
 def test_tune_pipeline_is_deterministic():
     rng = np.random.default_rng(8)
     dataset = [ColorImage(rng.uniform(20, 230, size=(3, 24, 24))) for _ in range(2)]
     spec = PipelineSpec(PipelineParams(0.0, 0.0, 0.0, 0.0))
-    cfg = CmaConfig(dimension=4, max_evals=64, seed=6)
+    cfg = CmaConfig(max_evals=64, seed=6)
     a = tune_pipeline(dataset, 10.0, spec, cfg)
     b = tune_pipeline(dataset, 10.0, spec, cfg)
     assert np.array_equal(a.best_params, b.best_params)

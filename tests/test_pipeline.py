@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from dmdn.denoise import DenoiseConfig, denoise_cfa, denoise_rgb
 from dmdn.image import ColorImage, DomainError
 from dmdn.mosaic import CfaImage, mosaick
 from dmdn.noise import NoiseSpec, add_awgn, anscombe, anscombe_inverse
+from dmdn.optimize import PIPELINE_BOUNDS
 from dmdn.pipeline import (
+    PARAMETERS,
     PipelineParams,
     PipelineSpec,
     generalize_by_image,
@@ -51,6 +55,24 @@ def test_params_validation():
         PipelineParams(0.0, 1.1, 0.0, 0.0)
     with pytest.raises(DomainError):
         PipelineParams(0.0, 0.0, 300.0, 0.0)
+
+
+def test_parameter_table_is_the_params_fields_and_the_tuner_box():
+    assert tuple(PARAMETERS) == tuple(f.name for f in fields(PipelineParams))
+    assert list(zip(PIPELINE_BOUNDS.lower, PIPELINE_BOUNDS.upper)) == list(PARAMETERS.values())
+
+
+@pytest.mark.parametrize("name", list(PARAMETERS))
+def test_params_accept_each_bound_and_reject_its_outer_neighbour(name):
+    lo, hi = PARAMETERS[name]
+    inside = {key: float(bounds[0]) for key, bounds in PARAMETERS.items()}
+    for bound, outward in ((lo, -np.inf), (hi, np.inf)):
+        assert getattr(PipelineParams(**{**inside, name: float(bound)}), name) == bound
+        outside = float(np.nextafter(bound, outward))
+        with pytest.raises(DomainError, match=rf"^{name} must be in \[{lo:g}, {hi:g}\], got {outside}$"):
+            PipelineParams(**{**inside, name: outside})
+    with pytest.raises(DomainError, match=rf"^{name} must be in .*, got nan$"):
+        PipelineParams(**{**inside, name: np.nan})
 
 
 # ------------------------------------------------------------- compositing
