@@ -25,8 +25,8 @@ from . import formats
 from .analysis import cpsnr, noise_stats, residual, rmse_table
 from .demosaic import DemosaicerId, demosaic
 from .denoise import DenoiseConfig, DenoiserId, denoise_cfa, denoise_rgb
-from .image import ColorImage, DomainError
-from .mosaic import PHASES, CfaImage, mosaick, read_cfa, write_cfa
+from .image import ColorImage, DomainError, GrayImage
+from .mosaic import PHASES, CfaImage, mosaick
 from .noise import NoiseSpec, add_awgn, derive_seed, noisy_mosaics, poisson_sample
 from .optimize import CmaConfig, tune_pipeline
 from .pipeline import (
@@ -68,18 +68,14 @@ def _load_dataset(directory) -> list[tuple[str, ColorImage]]:
     return images
 
 
-def _read_any(path):
-    """Read a color/gray image, or a CFA when a .meta sidecar is present."""
-    if Path(str(path) + ".meta").exists():
-        return read_cfa(path)
-    return formats.read_image(path)
-
-
-def _write_any(path, img) -> None:
-    if isinstance(img, CfaImage):
-        write_cfa(path, img)
-    else:
-        formats.write_image(path, img)
+def _cfa_input(path) -> CfaImage:
+    """A CFA input: a gray image with its `.meta` phase sidecar."""
+    img = formats.read_image(path)
+    if isinstance(img, GrayImage):
+        raise FileNotFoundError(f"{path}.meta: missing CFA phase sidecar")
+    if not isinstance(img, CfaImage):
+        raise DomainError(f"{path}: CFA file must be a gray image")
+    return img
 
 
 def _read_color(path) -> ColorImage:
@@ -109,8 +105,20 @@ def _write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
+def _finite_or_none(value):
+    """`value` with every non-finite float, however deeply nested, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, allow_nan=True) + "\n")
+    """Write strict JSON: a non-finite number (an infinite CPSNR, say) is null."""
+    path.write_text(json.dumps(_finite_or_none(payload), indent=2, allow_nan=False) + "\n")
 
 
 def _write_manifest(args, outputs: list[Path], **extra) -> None:
@@ -150,34 +158,30 @@ def _distinct_labels(flag: str, what: str, values: list[float]) -> list[str]:
     return labels
 
 
-def _finite_or_none(value: float):
-    return value if math.isfinite(value) else None
-
-
 # ---------------------------------------------------------------- subcommands
 
 
 def cmd_mosaic(args) -> None:
     img = _read_color(args.input)
     out = Path(args.out)
-    write_cfa(out, mosaick(img, args.phase))
+    formats.write_image(out, mosaick(img, args.phase))
     _write_manifest(args, [out])
 
 
 def cmd_noise(args) -> None:
-    img = _read_any(args.input)
+    img = formats.read_image(args.input)
     out = Path(args.out)
     with stage({}, "noise") as timings:
         if args.poisson:
             noisy = poisson_sample(img, args.seed)
         else:
             noisy = add_awgn(img, NoiseSpec(args.sigma, args.seed))
-        _write_any(out, noisy)
+        formats.write_image(out, noisy)
     _write_manifest(args, [out], master_seed=args.seed, timings=timings)
 
 
 def cmd_demosaic(args) -> None:
-    cfa = read_cfa(args.input)
+    cfa = _cfa_input(args.input)
     out = Path(args.out)
     with stage({}, "dm") as timings:
         formats.write_image(out, demosaic(cfa, args.method))
@@ -185,7 +189,7 @@ def cmd_demosaic(args) -> None:
 
 
 def cmd_denoise(args) -> None:
-    img = _read_any(args.input)
+    img = formats.read_image(args.input)
     cfg = DenoiseConfig(sigma=args.sigma)
     if args.cfa and not isinstance(img, CfaImage):
         raise DomainError(f"{args.input}: --cfa requires a CFA input (.meta sidecar)")
@@ -194,17 +198,17 @@ def cmd_denoise(args) -> None:
     out = Path(args.out)
     with stage({}, "dn") as timings:
         denoise = denoise_cfa if args.cfa else denoise_rgb
-        _write_any(out, denoise(img, args.method, cfg))
+        formats.write_image(out, denoise(img, args.method, cfg))
     _write_manifest(args, [out], timings=timings)
 
 
 def cmd_pipeline_run(args) -> None:
-    v = read_cfa(args.input)
+    v = _cfa_input(args.input)
     spec = _spec_from_args(args, PipelineParams(*(getattr(args, name) for name in PARAMETERS)))
     truth = _read_color(args.truth) if args.truth else None
     timings: dict = {}
     out_img = run_pipeline(v, spec, timings=timings)
-    metrics = {} if truth is None else {"cpsnr": _finite_or_none(cpsnr(out_img, truth))}
+    metrics = {} if truth is None else {"cpsnr": cpsnr(out_img, truth)}
     out = Path(args.out)
     formats.write_image(out, out_img)
     _write_manifest(
@@ -265,7 +269,7 @@ def cmd_tune(args) -> None:
         result_path,
         {
             "best_params": dict(zip(PARAMETERS, map(float, result.best_params))),
-            "best_cpsnr": _finite_or_none(result.best_value),
+            "best_cpsnr": result.best_value,
             "termination": result.termination,
             "evaluations": result.evaluations,
             "generations": result.generations,
@@ -282,7 +286,7 @@ def cmd_tune(args) -> None:
         [result_path, trace_path],
         master_seed=args.seed,
         per_image_seeds=_image_seeds(args.seed, dataset),
-        aggregate_metrics={"best_cpsnr": _finite_or_none(result.best_value)},
+        aggregate_metrics={"best_cpsnr": result.best_value},
         timings=timings,
     )
 
@@ -378,9 +382,7 @@ def cmd_eval(args) -> None:
         master_seed=args.seed,
         per_image_seeds=_image_seeds(args.seed, dataset),
         components={"dn1": args.dn1, "dm": args.dm, "dn2": args.dn2},
-        per_image_metrics={
-            name: {key: _finite_or_none(value) for key, value in scores.items()} for name, scores in per_image.items()
-        },
+        per_image_metrics=per_image,
         aggregate_metrics=aggregate,
         timings=timings,
     )

@@ -102,7 +102,9 @@ def _denoise_nlmeans(opp: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     y = opp[0]
     h, w = y.shape
     half = WINDOW // 2
-    h2 = H_GAIN * cfg.sigma**2 * PATCH**2
+    # Kept positive when sigma**2 underflows; excess / h2 may then overflow to
+    # inf, whose weight exp(-inf) = 0 is the right limit.
+    h2 = max(H_GAIN * cfg.sigma**2 * PATCH**2, np.finfo(np.float64).tiny)
     two_sigma2 = 2.0 * cfg.sigma**2
     padded = np.pad(opp, ((0, 0), (half, half), (half, half)), mode="reflect")
 
@@ -117,7 +119,8 @@ def _denoise_nlmeans(opp: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
             d2 = ndimage.uniform_filter(
                 (y - shifted[0]) ** 2, size=PATCH, mode="mirror"
             )
-            wgt = np.exp(-np.maximum(d2 - two_sigma2, 0.0) / h2)
+            with np.errstate(over="ignore"):
+                wgt = np.exp(-np.maximum(d2 - two_sigma2, 0.0) / h2)
             wmax = np.maximum(wmax, wgt)
             den += wgt
             num += wgt * shifted

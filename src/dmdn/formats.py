@@ -4,7 +4,8 @@
 writing them clamps to [0, 255] and rounds half away from zero.  PFM stores
 32-bit floats (scale -1.0 means little-endian) with rows bottom-to-top, so a
 float64 image survives a write/read cycle exactly whenever its values are
-representable in float32.
+representable in float32.  A CFA mosaic is a one-plane file plus a
+`<name>.meta` sidecar naming its Bayer phase (`phase=GRBG`; RGGB when absent).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .image import ColorImage, GrayImage
+from .mosaic import PHASES, CfaImage
 
 
 class ImageFormatError(ValueError):
@@ -57,8 +59,9 @@ def _read_token(data: bytes, pos: int, path, parse, what: str):
         raise ImageFormatError(path, pos, f"invalid {what} {data[start:end]!r}") from None
 
 
-def read_image(path) -> ColorImage | GrayImage:
-    """Read a PPM/PGM/PFM file; returns ColorImage for P6/PF, GrayImage for P5/Pf."""
+def read_image(path) -> ColorImage | GrayImage | CfaImage:
+    """Read a PPM/PGM/PFM file; returns ColorImage for P6/PF, and for P5/Pf a
+    CfaImage when a `.meta` sidecar is present, else a GrayImage."""
     path = Path(path)
     data = path.read_bytes()
     if len(data) < 2:
@@ -94,18 +97,25 @@ def read_image(path) -> ColorImage | GrayImage:
         rows = np.frombuffer(payload, dtype=dtype).astype(np.float64).reshape(height, width, channels)
     if pfm:
         rows = rows[::-1]  # PFM stores rows bottom-to-top
-    if channels == 1:
-        return GrayImage(rows[:, :, 0])
-    return ColorImage(np.transpose(rows, (2, 0, 1)))
+    if channels == 3:
+        return ColorImage(np.transpose(rows, (2, 0, 1)))
+    gray = GrayImage(rows[:, :, 0])
+    side = Path(str(path) + ".meta")
+    if not side.exists():
+        return gray
+    phase = read_meta(path).get("phase", "RGGB")
+    if phase not in PHASES:
+        raise ImageFormatError(side, None, f"unknown Bayer phase {phase!r}")
+    return CfaImage(gray.plane, phase)
 
 
-def write_image(path, img: ColorImage | GrayImage) -> None:
-    """Write an image; format chosen by extension (.ppm/.pgm/.pfm)."""
+def write_image(path, img: ColorImage | GrayImage | CfaImage) -> None:
+    """Write an image; format chosen by extension (.ppm/.pgm/.pfm), a CfaImage with its sidecar."""
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".ppm" and not isinstance(img, ColorImage):
         raise ImageFormatError(path, None, ".ppm requires a ColorImage")
-    if suffix == ".pgm" and not isinstance(img, GrayImage):
+    if suffix == ".pgm" and not isinstance(img, (GrayImage, CfaImage)):
         raise ImageFormatError(path, None, ".pgm requires a GrayImage")
     if suffix not in (".ppm", ".pgm", ".pfm"):
         raise ImageFormatError(path, None, f"unsupported extension {suffix!r} (use .ppm/.pgm/.pfm)")
@@ -119,6 +129,8 @@ def write_image(path, img: ColorImage | GrayImage) -> None:
         payload = np.floor(np.clip(rows, 0.0, 255.0) + 0.5).astype(np.uint8)
     header = f"{magic}\n{img.width} {img.height}\n{scale}\n".encode("ascii")
     path.write_bytes(header + payload.tobytes())
+    if isinstance(img, CfaImage):
+        write_meta(path, {"phase": img.phase})
 
 
 def write_meta(path, meta: dict[str, str]) -> None:

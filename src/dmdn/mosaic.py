@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import formats
 from .image import ColorImage, DomainError, GrayImage
 
 PHASES = ("RGGB", "GRBG", "GBRG", "BGGR")
@@ -116,18 +115,3 @@ def recombine_cfa(pair: HalfPair, phase: str = "RGGB") -> CfaImage:
     sites(plane, phase, "G2")[...] = pair.second.g
     return CfaImage(plane, phase)
 
-
-def write_cfa(path, cfa: CfaImage) -> None:
-    """Serialize as gray PFM plus a 'phase=...' sidecar ('<path>.meta')."""
-    formats.write_image(path, GrayImage(cfa.plane))
-    formats.write_meta(path, {"phase": cfa.phase})
-
-
-def read_cfa(path) -> CfaImage:
-    img = formats.read_image(path)
-    if not isinstance(img, GrayImage):
-        raise DomainError(f"{path}: CFA file must be a gray image")
-    phase = formats.read_meta(path).get("phase", "RGGB")
-    if phase not in PHASES:
-        raise formats.ImageFormatError(f"{path}.meta", None, f"unknown Bayer phase {phase!r}")
-    return CfaImage(img.plane, phase)

@@ -3,12 +3,12 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dmdn import cli, formats
 from dmdn.cli import build_parser, main
-from dmdn.image import ColorImage
-from dmdn.mosaic import read_cfa
+from dmdn.image import ColorImage, GrayImage
 from dmdn.noise import RngStream
 
 from conftest import make_natural
@@ -33,11 +33,11 @@ def test_mosaic_noise_demosaic_denoise_chain(tmp_path, dataset_dir):
     cfa = tmp_path / "v.pfm"
     assert run("mosaic", "--input", src, "--out", cfa) == 0
     assert cfa.exists() and (tmp_path / "v.manifest.json").exists()
-    assert read_cfa(cfa).phase == "RGGB"
+    assert formats.read_image(cfa).phase == "RGGB"
 
     noisy = tmp_path / "vn.pfm"
     assert run("noise", "--input", cfa, "--sigma", 10, "--seed", 3, "--out", noisy) == 0
-    assert read_cfa(noisy).phase == "RGGB"
+    assert formats.read_image(noisy).phase == "RGGB"
 
     dem = tmp_path / "u.ppm"
     assert run("demosaic", "--input", noisy, "--method", "ha", "--out", dem) == 0
@@ -49,7 +49,7 @@ def test_mosaic_noise_demosaic_denoise_chain(tmp_path, dataset_dir):
 
     den_cfa = tmp_path / "dc.pfm"
     assert run("denoise", "--input", noisy, "--method", "dct8", "--sigma", 10, "--cfa", "--out", den_cfa) == 0
-    assert read_cfa(den_cfa).phase == "RGGB"
+    assert formats.read_image(den_cfa).phase == "RGGB"
 
 
 def test_preset_prints_parameters(capsys):
@@ -294,6 +294,38 @@ def test_exit_codes(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 2
+
+
+def test_cfa_inputs_need_a_gray_file_with_its_sidecar(tmp_path, capsys):
+    gray = tmp_path / "g.pfm"
+    formats.write_image(gray, GrayImage(make_natural(1, size=16).planes[1]))
+    for argv in (("demosaic",), ("pipeline", "run", "--alpha", 0, "--beta", 1, "--sigma1", 0, "--sigma2", 0)):
+        assert run(*argv, "--input", gray, "--out", tmp_path / "x.ppm") == 3
+        assert f"{gray}.meta" in capsys.readouterr().err
+    color = tmp_path / "c.pfm"
+    formats.write_image(color, make_natural(1, size=16))
+    (tmp_path / "c.pfm.meta").write_text("phase=RGGB\n")  # a stray sidecar does not make it a CFA
+    assert run("demosaic", "--input", color, "--out", tmp_path / "x.ppm") == 4
+    assert "CFA file must be a gray image" in capsys.readouterr().err
+    assert not (tmp_path / "x.ppm").exists()
+
+
+def test_manifests_are_strict_json(tmp_path):
+    # a flat image at sigma 0 is restored exactly: every CPSNR is infinite
+    data = tmp_path / "flat"
+    data.mkdir()
+    formats.write_image(data / "flat.ppm", ColorImage(np.full((3, 16, 16), 128.0)))
+    assert run("eval", "--dataset", data, "--sigmas", 0, "--out", tmp_path / "e") == 0
+    assert run("pipeline", "sweep-k", "--dataset", data, "--sigma", 0, "--k-list", "1,2", "--out", tmp_path / "k.csv") == 0
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    for manifest in (tmp_path / "e" / "eval.manifest.json", tmp_path / "k.manifest.json"):
+        payload = json.loads(manifest.read_text(), parse_constant=reject)
+        assert set(payload["aggregate_metrics"].values()) == {None}
+        for scores in payload["per_image_metrics"].values():
+            assert set(scores.values()) == {None}
 
 
 def test_rerun_requires_recorded_command(tmp_path):

@@ -1,4 +1,6 @@
+import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from dmdn.denoise import (
 from dmdn.image import ColorImage, DomainError, opponent_planes, rgb_planes
 from dmdn.mosaic import CfaImage, mosaick, sites
 from dmdn.noise import NoiseSpec, add_awgn
+
+from conftest import make_natural
 
 
 def constant_image(r, g, b, h=16, w=16):
@@ -212,6 +216,23 @@ def test_nlmeans_matches_brute_force_oracle():
     # implementation; the classic definition holds on the interior
     inner = (slice(None), slice(hw + hp, -(hw + hp)), slice(hw + hp, -(hw + hp)))
     assert np.abs(out.planes[inner] - rgb_planes(expected)[inner]).max() <= 1e-9
+
+
+def test_nlmeans_output_is_pinned_at_an_ordinary_sigma():
+    # SHA-256 recorded before the tiny-sigma guard on h^2; it must not move ordinary outputs
+    noisy = add_awgn(make_natural(3, size=32), NoiseSpec(20.0, 5))
+    out = denoise_rgb(noisy, "nlmeans", DenoiseConfig(sigma=20.0))
+    digest = hashlib.sha256(out.planes.tobytes()).hexdigest()
+    assert digest == "c0212c937a643cf4b9d7b4257dc3068c872285066e80ba68826839089c3d6a6e"
+
+
+def test_nlmeans_at_a_tiny_sigma_keeps_a_flat_image():
+    # sigma**2 underflows to 0 here; the weights must stay finite and warn nothing
+    img = constant_image(40, 90, 160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = denoise_rgb(img, "nlmeans", DenoiseConfig(sigma=1e-200))
+    assert np.abs(out.planes - img.planes).max() <= 1e-9
 
 
 def test_denoise_cfa_identity_is_exact():

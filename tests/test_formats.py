@@ -15,7 +15,7 @@ from dmdn.formats import (
     write_meta,
 )
 from dmdn.image import ColorImage, DomainError, GrayImage
-from dmdn.mosaic import CfaImage
+from dmdn.mosaic import PHASES, CfaImage
 
 
 def test_pfm_color_round_trip_bit_identical(tmp_path):
@@ -132,6 +132,35 @@ def test_meta_sidecar_round_trip(tmp_path):
     path = tmp_path / "img.pfm"
     write_meta(path, {"phase": "GRBG", "note": "x"})
     assert read_meta(path) == {"phase": "GRBG", "note": "x"}
+
+
+@pytest.mark.parametrize("suffix", [".pfm", ".pgm"])
+@pytest.mark.parametrize("phase", PHASES)
+def test_cfa_round_trip_keeps_the_phase(tmp_path, phase, suffix):
+    cfa = CfaImage(np.arange(24, dtype=np.float64).reshape(4, 6), phase)
+    path = tmp_path / ("mosaic" + suffix)
+    write_image(path, cfa)
+    assert (tmp_path / f"mosaic{suffix}.meta").read_text() == f"phase={phase}\n"
+    back = read_image(path)
+    assert isinstance(back, CfaImage) and back.phase == phase
+    assert np.array_equal(back.plane, cfa.plane)
+
+
+def test_cfa_sidecar_phase_defaults_and_checks(tmp_path):
+    path = tmp_path / "mosaic.pfm"
+    write_image(path, GrayImage(np.zeros((2, 2))))
+    assert type(read_image(path)) is GrayImage  # no sidecar: a plain gray image
+    write_meta(path, {"note": "x"})
+    assert read_image(path).phase == "RGGB"
+    write_meta(path, {"phase": "XTRANS"})
+    with pytest.raises(ImageFormatError, match="unknown Bayer phase 'XTRANS'") as err:
+        read_image(path)
+    assert err.value.path == f"{path}.meta"
+    # a three-plane payload is a colour image whatever lies beside it
+    write_image(path, ColorImage(np.zeros((3, 2, 2))))
+    assert isinstance(read_image(path), ColorImage)
+    with pytest.raises(ImageFormatError, match=".ppm requires a ColorImage"):
+        write_image(tmp_path / "mosaic.ppm", CfaImage(np.zeros((2, 2))))
 
 
 @settings(max_examples=30)
@@ -264,6 +293,8 @@ def _ref_quantize_u8(values: np.ndarray) -> np.ndarray:
 
 def reference_write_image(path, img) -> None:
     path = Path(path)
+    if isinstance(img, CfaImage):  # a mosaic's bytes are its plane's; the sidecar is tested apart
+        img = GrayImage(img.plane)
     suffix = path.suffix.lower()
     if suffix == ".pfm":
         _ref_write_pfm(path, img)

@@ -4,16 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdn.demosaic import demosaic
+from dmdn.formats import read_image, write_image
 from dmdn.image import ColorImage, DomainError
 from dmdn.mosaic import (
     PHASES,
     CfaImage,
     HalfPair,
     mosaick,
-    read_cfa,
     recombine_cfa,
     split_cfa,
-    write_cfa,
 )
 
 
@@ -119,8 +118,8 @@ def test_cfa_requires_even_dims_and_known_phase():
 def test_cfa_file_round_trip(tmp_path):
     cfa = random_cfa(6, phase="GBRG")
     path = tmp_path / "mosaic.pfm"
-    write_cfa(path, cfa)
-    back = read_cfa(path)
+    write_image(path, cfa)
+    back = read_image(path)
     assert back.phase == "GBRG"
     assert np.array_equal(
         back.plane, cfa.plane.astype(np.float32).astype(np.float64)
