@@ -40,6 +40,7 @@ from .optimize import (
 from .pipeline import (
     PipelineParams,
     PipelineSpec,
+    StageCache,
     generalize_by_image,
     generalize_by_sigma,
     preset,

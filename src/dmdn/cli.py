@@ -34,6 +34,7 @@ from .pipeline import (
     PRESET_NAMES,
     PipelineParams,
     PipelineSpec,
+    StageCache,
     preset,
     run_pipeline,
     stage,
@@ -352,9 +353,12 @@ def cmd_eval(args) -> None:
         name, truth = dataset[index]
         timings: dict = {}
         scores = {}
+        cache = StageCache()  # dmdn and dm15dn share DM(v)
         for preset_name, preset_params in params[k].items():
             spec = _spec_from_args(args, preset_params)
-            scores[f"{preset_name}_sigma{labels[k]}"] = cpsnr(run_pipeline(noisy, spec, timings=timings), truth)
+            scores[f"{preset_name}_sigma{labels[k]}"] = cpsnr(
+                run_pipeline(noisy, spec, timings=timings, cache=cache), truth
+            )
         return name, scores, timings
 
     with stage({}, "total") as timings:
@@ -459,10 +463,10 @@ _SHARED_FLAGS = {
 }
 
 
-def _command(sub, name: str, func, help: str, *shared: str) -> argparse.ArgumentParser:
+def _command(sub, name: str, func, help: str, *shared: str, **flag_help: str) -> argparse.ArgumentParser:
     parser = sub.add_parser(name, help=help)
     for flag in shared:
-        parser.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+        parser.add_argument(f"--{flag}", help=flag_help.get(flag), **_SHARED_FLAGS[flag])
     parser.set_defaults(func=func)
     return parser
 
@@ -517,7 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", type=_float_list, default="1.0,1.1,1.2,1.3,1.4,1.5,1.6,1.7,1.8,1.9")
 
     p = _command(sub, "tune", cmd_tune, "CMA-ES search for pipeline parameters",
-                 "dataset", "phase", "seed", "jobs", "out")
+                 "dataset", "phase", "seed", "jobs", "out",
+                 jobs="accepted but has no effect yet: tune scores its candidates one at a time "
+                      "(a process pool is ROADMAP item 2)")
     p.add_argument("--sigma", type=float, required=True)
     _add_component_flags(p)
     p.add_argument("--max-evals", type=int, default=3000)

@@ -110,7 +110,11 @@ def read_image(path) -> ColorImage | GrayImage | CfaImage:
 
 
 def write_image(path, img: ColorImage | GrayImage | CfaImage) -> None:
-    """Write an image; format chosen by extension (.ppm/.pgm/.pfm), a CfaImage with its sidecar."""
+    """Write an image; format chosen by extension (.ppm/.pgm/.pfm), a CfaImage with its sidecar.
+
+    Any other image removes a `.meta` sidecar an earlier CFA left at `path`,
+    which would otherwise make `read_image` return a CfaImage.
+    """
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".ppm" and not isinstance(img, ColorImage):
@@ -131,6 +135,8 @@ def write_image(path, img: ColorImage | GrayImage | CfaImage) -> None:
     path.write_bytes(header + payload.tobytes())
     if isinstance(img, CfaImage):
         write_meta(path, {"phase": img.phase})
+    else:
+        Path(str(path) + ".meta").unlink(missing_ok=True)
 
 
 def write_meta(path, meta: dict[str, str]) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import cpsnr
 from .image import ColorImage, DomainError
 from .noise import RngStream, noisy_mosaics
-from .pipeline import PARAMETERS, PipelineParams, PipelineSpec, run_pipeline
+from .pipeline import PARAMETERS, PipelineParams, PipelineSpec, StageCache, run_pipeline
 
 
 @dataclass(frozen=True)
@@ -202,14 +202,17 @@ def pipeline_objective(
 
     The noisy mosaics are drawn once by `noisy_mosaics` (per-image seeds
     derived from noise_seed and the image index), so the objective is a
-    deterministic function of the pipeline parameters.
+    deterministic function of the pipeline parameters.  Each mosaic keeps a
+    StageCache, so a point that shares a stage's parameters with the
+    previous one reuses that stage's result.
     """
-    frozen = [(v, dataset[i]) for i, _, v in noisy_mosaics(dataset, [sigma], noise_seed, phase)]
+    captures = noisy_mosaics(dataset, [sigma], noise_seed, phase)
+    frozen = [(v, dataset[i], StageCache()) for i, _, v in captures]
 
     def objective(x: np.ndarray) -> float:
         params = PipelineParams(*(float(v) for v in x))
         run_spec = replace(spec, params=params)
-        values = [cpsnr(run_pipeline(v, run_spec), u) for v, u in frozen]
+        values = [cpsnr(run_pipeline(v, run_spec, cache=cache), u) for v, u, cache in frozen]
         return math.fsum(values) / len(values)
 
     return objective

@@ -67,7 +67,51 @@ def stage(timings: dict | None, name: str):
         timings[name] = timings.get(name, 0.0) + clock() - t0
 
 
-def run_pipeline(v: CfaImage, spec: PipelineSpec, timings: dict | None = None) -> ColorImage:
+class StageCache:
+    """The last result of each pipeline stage for one input mosaic.
+
+    `run_pipeline` keeps one entry per stage, each under the parameters it
+    depends on: "dn1" under sigma1; "dm" under (alpha, sigma1), or alpha = 0
+    alone, since the blend then feeds DM the input itself (sigma1 = 0 with
+    alpha > 0 keeps its own key: that blend equals the input only up to
+    rounding); "dn2" under the DM key plus sigma2.  With vst set, "vst"
+    holds the Anscombe transform of the input.  A miss drops the stage's
+    entry before computing its replacement, so a stage never holds two
+    results.  A call with another mosaic (by identity) or other operators
+    empties the cache first.  A cache is not thread-safe: give each worker
+    its own.
+    """
+
+    def __init__(self):
+        self.source: CfaImage | None = None
+        self.operators: tuple | None = None
+        self.slots: dict[str, tuple] = {}  # stage -> (key, result)
+
+    def bind(self, v: CfaImage, spec: PipelineSpec) -> CfaImage:
+        """The pipeline input for `v` under `spec`: `v`, or its Anscombe transform."""
+        operators = (spec.dn1, spec.dm, spec.dn2, spec.vst)
+        if v is not self.source or operators != self.operators:
+            self.source, self.operators, self.slots = v, operators, {}
+        return self.get("vst", (), lambda: anscombe(v)) if spec.vst else v
+
+    def get(self, stage: str, key: tuple, compute):
+        """The stage's result under `key`, from `compute()` on a miss."""
+        if stage not in self.slots or self.slots[stage][0] != key:
+            self.slots.pop(stage, None)  # evict first, so a stage never holds two results
+            self.slots[stage] = (key, compute())
+        return self.slots[stage][1]
+
+
+def _blend(weight: float, denoised, base: np.ndarray) -> np.ndarray:
+    """`weight * denoised() + (1 - weight) * base`; weight 0 prunes the stage behind `denoised`."""
+    if weight == 0.0:
+        return base
+    return weight * denoised() + (1.0 - weight) * base
+
+
+def run_pipeline(
+    v: CfaImage, spec: PipelineSpec, timings: dict | None = None, cache: StageCache | None = None
+) -> ColorImage:
     """Evaluate the two-stage blend.
 
     With vst set, the mosaic is Anscombe-transformed first, the sigma
@@ -75,32 +119,34 @@ def run_pipeline(v: CfaImage, spec: PipelineSpec, timings: dict | None = None) -
     inverse is applied at the end.
 
     `timings`, when given, accumulates wall-clock seconds per stage under
-    the keys "dn1", "dm", "dn2".
+    the keys "dn1", "dm", "dn2".  A zero blend weight prunes its denoiser.
+
+    `cache` carries stage results from call to call on the same mosaic
+    (see StageCache); a stage it already holds is not run again and adds
+    nothing to `timings`.  Results are bit-identical with or without it.
     """
     p = spec.params
-    if spec.vst:
-        v = anscombe(v)
+    cache = StageCache() if cache is None else cache
+    x = cache.bind(v, spec)
 
-    if p.alpha == 0.0:
-        v_tilde = v  # blend degenerates to the input; skip the denoiser
-    else:
+    def dn1() -> np.ndarray:
         with stage(timings, "dn1"):
-            d1 = denoise_cfa(v, spec.dn1, DenoiseConfig(sigma=p.sigma1))
-        v_tilde = CfaImage(p.alpha * d1.plane + (1.0 - p.alpha) * v.plane, v.phase)
+            return denoise_cfa(x, spec.dn1, DenoiseConfig(sigma=p.sigma1)).plane
 
-    with stage(timings, "dm"):
-        u_dm = demosaic(v_tilde, spec.dm)
+    def dm() -> ColorImage:
+        v_tilde = _blend(p.alpha, lambda: cache.get("dn1", (p.sigma1,), dn1), x.plane)
+        with stage(timings, "dm"):
+            return demosaic(CfaImage(v_tilde, x.phase), spec.dm)
 
-    if p.beta == 0.0:
-        u_hat = u_dm
-    else:
+    def dn2() -> np.ndarray:
         with stage(timings, "dn2"):
-            d2 = denoise_rgb(u_dm, spec.dn2, DenoiseConfig(sigma=p.sigma2))
-        u_hat = ColorImage(p.beta * d2.planes + (1.0 - p.beta) * u_dm.planes)
+            return denoise_rgb(u_dm, spec.dn2, DenoiseConfig(sigma=p.sigma2)).planes
 
-    if spec.vst:
-        u_hat = anscombe_inverse(u_hat)
-    return u_hat
+    dm_key = (0.0,) if p.alpha == 0.0 else (p.alpha, p.sigma1)
+    dn2_key = dm_key + (p.sigma2,)
+    u_dm = cache.get("dm", dm_key, dm)
+    u_hat = ColorImage(_blend(p.beta, lambda: cache.get("dn2", dn2_key, dn2), u_dm.planes))
+    return anscombe_inverse(u_hat) if spec.vst else u_hat
 
 
 def preset(name: str, sigma: float) -> PipelineParams:
@@ -134,9 +180,10 @@ def sweep_k(
     if any(k < 0 for k in k_list):
         raise DomainError("k values must be >= 0")
     rows = []
+    cache = StageCache()  # DM(v) is shared by every k
     for k in k_list:
         spec = PipelineSpec(PipelineParams(0.0, 1.0, 0.0, k * sigma), dm=dm, dn2=dn)
-        rows.append((float(k), cpsnr(run_pipeline(v, spec), ground_truth)))
+        rows.append((float(k), cpsnr(run_pipeline(v, spec, cache=cache), ground_truth)))
     return rows
 
 

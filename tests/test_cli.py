@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -26,6 +27,10 @@ def dataset_dir(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def test_mosaic_noise_demosaic_denoise_chain(tmp_path, dataset_dir):
@@ -90,6 +95,10 @@ def test_eval_csv_shape_and_bitexact_rerun(tmp_path, dataset_dir):
 
     manifest_path = out_dir / "eval.manifest.json"
     before = json.loads(manifest_path.read_text())
+    # Pinned digests: reusing stage results must leave every score bit-identical.
+    assert sha256(csv_path.read_bytes()) == "a477337d4e3ad6f8dbc6948e0c9101b5c597fc62530ddbc020f297df22b9dd57"
+    per_image = json.dumps(before["per_image_metrics"], sort_keys=True).encode()
+    assert sha256(per_image) == "5c6b655ea93e7f5a71f5025c7dccc2b276014eec5b36514fd8a51f95208907a9"
     assert run("rerun", "--manifest", manifest_path) == 0
     after = json.loads(manifest_path.read_text())
     assert before["aggregate_metrics"] == after["aggregate_metrics"]
@@ -155,6 +164,7 @@ def test_sweep_k_csv(tmp_path, dataset_dir):
         rows = list(csv.reader(fh))
     assert rows[0] == ["k", "mean_cpsnr"]
     assert [r[0] for r in rows[1:]] == ["0.0", "1.0", "1.5"]
+    assert sha256(out.read_bytes()) == "2e6a347230428e677592465a932e7f751012534e5ca40c69c60ae956405d4024"
 
 
 def test_rmse_table_csv(tmp_path, dataset_dir):
@@ -214,6 +224,13 @@ def test_tune_outputs(tmp_path):
     assert len(rows) == 1 + result["generations"]
     bests = [float(r[1]) for r in rows[1:]]
     assert all(x <= y for x, y in zip(bests, bests[1:]))
+    # Pinned digests: reusing stage results must not move the trajectory by a bit.
+    assert sha256((out_dir / "tune_result.json").read_bytes()) == (
+        "958662a2c88375d3b9332f6dc635453be257f6089a788b291b4ebbb9bb73fd6b"
+    )
+    assert sha256((out_dir / "trace.csv").read_bytes()) == (
+        "3c40ae50ad1184e42aa118fc7a71f3462f475530695f779762c786c34fda8e0e"
+    )
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -308,6 +325,18 @@ def test_cfa_inputs_need_a_gray_file_with_its_sidecar(tmp_path, capsys):
     assert run("demosaic", "--input", color, "--out", tmp_path / "x.ppm") == 4
     assert "CFA file must be a gray image" in capsys.readouterr().err
     assert not (tmp_path / "x.ppm").exists()
+
+
+def test_gray_output_over_a_cfa_file_drops_its_sidecar(tmp_path, capsys):
+    gray = tmp_path / "g.pfm"
+    formats.write_image(gray, GrayImage(make_natural(1, size=16).planes[1]))
+    cfa = tmp_path / "v.pfm"
+    formats.write_image(tmp_path / "c.ppm", make_natural(1, size=16))
+    assert run("mosaic", "--input", tmp_path / "c.ppm", "--out", cfa) == 0
+    assert run("noise", "--input", gray, "--sigma", 3, "--out", cfa) == 0
+    assert type(formats.read_image(cfa)) is GrayImage
+    assert run("demosaic", "--input", cfa, "--out", tmp_path / "u.ppm") == 3
+    assert f"{cfa}.meta: missing CFA phase sidecar" in capsys.readouterr().err
 
 
 def test_manifests_are_strict_json(tmp_path):

@@ -163,6 +163,15 @@ def test_cfa_sidecar_phase_defaults_and_checks(tmp_path):
         write_image(tmp_path / "mosaic.ppm", CfaImage(np.zeros((2, 2))))
 
 
+def test_a_non_cfa_write_removes_the_old_sidecar(tmp_path):
+    path = tmp_path / "v.pfm"
+    for img in (GrayImage(np.ones((4, 4))), ColorImage(np.ones((3, 4, 4)))):
+        write_image(path, CfaImage(np.zeros((4, 4)), "GRBG"))
+        write_image(path, img)
+        assert not (tmp_path / "v.pfm.meta").exists()
+        assert type(read_image(path)) is type(img)
+
+
 @settings(max_examples=30)
 @given(
     st.integers(1, 6),

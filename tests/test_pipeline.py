@@ -2,10 +2,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dmdn import pipeline
 from dmdn.analysis import cpsnr
 from dmdn.demosaic import demosaic
-from dmdn.denoise import DenoiseConfig, denoise_cfa, denoise_rgb
+from dmdn.denoise import DenoiseConfig, DenoiserId, denoise_cfa, denoise_rgb
 from dmdn.image import ColorImage, DomainError
 from dmdn.mosaic import CfaImage, mosaick
 from dmdn.noise import NoiseSpec, add_awgn, anscombe, anscombe_inverse
@@ -14,6 +17,7 @@ from dmdn.pipeline import (
     PARAMETERS,
     PipelineParams,
     PipelineSpec,
+    StageCache,
     generalize_by_image,
     generalize_by_sigma,
     preset,
@@ -132,6 +136,90 @@ def test_timings_report_stages():
     run_pipeline(v, PipelineSpec(PipelineParams(0.5, 0.5, 10.0, 10.0)), timings=timings)
     assert set(timings) == {"dn1", "dm", "dn2"}
     assert all(t >= 0.0 for t in timings.values())
+
+
+# ------------------------------------------------------------- stage cache
+
+
+def reference_pipeline(v: CfaImage, spec: PipelineSpec) -> ColorImage:
+    """The blend computed stage by stage with no reuse, as in its definition."""
+    p = spec.params
+    if spec.vst:
+        v = anscombe(v)
+    if p.alpha != 0.0:
+        d1 = denoise_cfa(v, spec.dn1, DenoiseConfig(sigma=p.sigma1))
+        v = CfaImage(p.alpha * d1.plane + (1.0 - p.alpha) * v.plane, v.phase)
+    u = demosaic(v, spec.dm)
+    if p.beta != 0.0:
+        d2 = denoise_rgb(u, spec.dn2, DenoiseConfig(sigma=p.sigma2))
+        u = ColorImage(p.beta * d2.planes + (1.0 - p.beta) * u.planes)
+    return anscombe_inverse(u) if spec.vst else u
+
+
+# The functions behind each cached stage, as `run_pipeline` calls them.
+STAGE_FUNCTIONS = {"vst": "anscombe", "dn1": "denoise_cfa", "dm": "demosaic", "dn2": "denoise_rgb"}
+
+# Few values per parameter, so a sequence both repeats and changes each stage's key.
+_params = st.builds(
+    PipelineParams,
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    beta=st.sampled_from([0.0, 0.5, 1.0]),
+    sigma1=st.sampled_from([0.0, 10.0, 20.0]),
+    sigma2=st.sampled_from([0.0, 10.0, 30.0]),
+)
+_denoisers = st.sampled_from([DenoiserId.DCT8, DenoiserId.IDENTITY])
+
+
+@settings(max_examples=60)
+@given(st.lists(_params, min_size=1, max_size=8), _denoisers, _denoisers, st.booleans())
+def test_stage_cache_matches_the_uncached_pipeline(sequence, dn1, dn2, vst):
+    v, _ = noisy_cfa(12, sigma=5.0, size=16)  # stays above -3/8, so vst applies
+    specs = [PipelineSpec(params, dn1=dn1, dn2=dn2, vst=vst) for params in sequence]
+    expected = [reference_pipeline(v, spec).planes for spec in specs]
+    for spec, planes in zip(specs, expected):
+        assert np.array_equal(run_pipeline(v, spec).planes, planes)
+
+    cache = StageCache()
+    computed = []
+
+    def watch(stage_name, fn):
+        def wrapper(*args, **kwargs):
+            assert stage_name not in cache.slots  # evicted before its replacement is computed
+            computed.append(stage_name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, func in STAGE_FUNCTIONS.items():
+            mp.setattr(pipeline, func, watch(name, getattr(pipeline, func)))
+        for spec, planes in zip(specs, expected):
+            assert np.array_equal(run_pipeline(v, spec, cache=cache).planes, planes)
+            assert set(cache.slots) <= set(STAGE_FUNCTIONS)
+        # Every stage of a repeated point is a hit: nothing runs and nothing is timed.
+        computed.clear()
+        timings = {}
+        again = run_pipeline(v, specs[-1], timings=timings, cache=cache)
+    assert computed == [] and timings == {}
+    assert np.array_equal(again.planes, expected[-1])
+
+
+def test_stage_cache_serves_one_input_and_one_set_of_operators():
+    v, _ = noisy_cfa(13)
+    w, _ = noisy_cfa(14)
+    cache = StageCache()
+    spec = PipelineSpec(PipelineParams(0.5, 0.5, 10.0, 10.0))
+    run_pipeline(v, spec, cache=cache)
+    for u, s in ((w, spec), (w, PipelineSpec(spec.params, dn2="identity"))):
+        assert np.array_equal(run_pipeline(u, s, cache=cache).planes, reference_pipeline(u, s).planes)
+
+
+def test_sweep_k_demosaics_once(monkeypatch):
+    v, truth = noisy_cfa(15)
+    calls = []
+    monkeypatch.setattr(pipeline, "demosaic", lambda *a: calls.append(1) or demosaic(*a))
+    rows = sweep_k(v, truth, "ha", "dct8", 20.0, [0.0, 1.0, 1.5, 1.0])
+    assert len(calls) == 1 and rows[1] == rows[3]
 
 
 # --------------------------------------------------------------------- vst
