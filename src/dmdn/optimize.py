@@ -203,8 +203,9 @@ def pipeline_objective(
     The noisy mosaics are drawn once by `noisy_mosaics` (per-image seeds
     derived from noise_seed and the image index), so the objective is a
     deterministic function of the pipeline parameters.  Each mosaic keeps a
-    StageCache, so a point that shares a stage's parameters with the
-    previous one reuses that stage's result.
+    StageCache, so a point with the previous point's (alpha, sigma1) reuses
+    its DM result: grid loops hit it, CMA-ES's continuous points rarely do.
+    The caches hold one RGB image per mosaic while the objective lives.
     """
     captures = noisy_mosaics(dataset, [sigma], noise_seed, phase)
     frozen = [(v, dataset[i], StageCache()) for i, _, v in captures]

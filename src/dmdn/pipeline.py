@@ -68,38 +68,36 @@ def stage(timings: dict | None, name: str):
 
 
 class StageCache:
-    """The last result of each pipeline stage for one input mosaic.
+    """The last demosaiced blend of one input mosaic.
 
-    `run_pipeline` keeps one entry per stage, each under the parameters it
-    depends on: "dn1" under sigma1; "dm" under (alpha, sigma1), or alpha = 0
-    alone, since the blend then feeds DM the input itself (sigma1 = 0 with
-    alpha > 0 keeps its own key: that blend equals the input only up to
-    rounding); "dn2" under the DM key plus sigma2.  With vst set, "vst"
-    holds the Anscombe transform of the input.  A miss drops the stage's
-    entry before computing its replacement, so a stage never holds two
-    results.  A call with another mosaic (by identity) or other operators
-    empties the cache first.  A cache is not thread-safe: give each worker
-    its own.
+    `run_pipeline` keeps the DM stage's output, DM(alpha * DN1(v) +
+    (1 - alpha) * v), under the parameters it depends on: (alpha, sigma1),
+    or alpha = 0 alone, since the blend then feeds DM the input itself
+    (sigma1 = 0 with alpha > 0 keeps its own key: that blend equals the
+    input only up to rounding).  A call that shares them with the previous
+    one runs neither the Anscombe transform, DN1 nor DM; DN2 and the beta
+    blend always run.  A miss drops the held result before computing its
+    replacement, so the cache never holds two: its memory is one RGB image
+    of the mosaic's size.  A call with another mosaic (by identity) or other
+    DN1, DM or vst settings is a miss.  A cache is not thread-safe: give
+    each worker its own.
     """
 
     def __init__(self):
         self.source: CfaImage | None = None
-        self.operators: tuple | None = None
-        self.slots: dict[str, tuple] = {}  # stage -> (key, result)
+        self.binding: tuple | None = None  # (dn1, dm, vst, key) of `result`
+        self.result: ColorImage | None = None
 
-    def bind(self, v: CfaImage, spec: PipelineSpec) -> CfaImage:
-        """The pipeline input for `v` under `spec`: `v`, or its Anscombe transform."""
-        operators = (spec.dn1, spec.dm, spec.dn2, spec.vst)
-        if v is not self.source or operators != self.operators:
-            self.source, self.operators, self.slots = v, operators, {}
-        return self.get("vst", (), lambda: anscombe(v)) if spec.vst else v
-
-    def get(self, stage: str, key: tuple, compute):
-        """The stage's result under `key`, from `compute()` on a miss."""
-        if stage not in self.slots or self.slots[stage][0] != key:
-            self.slots.pop(stage, None)  # evict first, so a stage never holds two results
-            self.slots[stage] = (key, compute())
-        return self.slots[stage][1]
+    def demosaiced(self, v: CfaImage, spec: PipelineSpec, compute) -> ColorImage:
+        """The DM result for `v` under `spec`, from `compute()` on a miss."""
+        p = spec.params
+        key = (0.0,) if p.alpha == 0.0 else (p.alpha, p.sigma1)
+        binding = (spec.dn1, spec.dm, spec.vst, key)
+        if v is not self.source or binding != self.binding:
+            self.source = self.binding = self.result = None  # evict first: never two results
+            self.result = compute()
+            self.source, self.binding = v, binding
+        return self.result
 
 
 def _blend(weight: float, denoised, base: np.ndarray) -> np.ndarray:
@@ -121,20 +119,20 @@ def run_pipeline(
     `timings`, when given, accumulates wall-clock seconds per stage under
     the keys "dn1", "dm", "dn2".  A zero blend weight prunes its denoiser.
 
-    `cache` carries stage results from call to call on the same mosaic
-    (see StageCache); a stage it already holds is not run again and adds
-    nothing to `timings`.  Results are bit-identical with or without it.
+    `cache` carries the DM result from call to call on the same mosaic (see
+    StageCache); on a hit DN1 and DM do not run and add nothing to
+    `timings`.  Results are bit-identical with or without it.
     """
     p = spec.params
     cache = StageCache() if cache is None else cache
-    x = cache.bind(v, spec)
 
-    def dn1() -> np.ndarray:
+    def dn1(x: CfaImage) -> np.ndarray:
         with stage(timings, "dn1"):
             return denoise_cfa(x, spec.dn1, DenoiseConfig(sigma=p.sigma1)).plane
 
     def dm() -> ColorImage:
-        v_tilde = _blend(p.alpha, lambda: cache.get("dn1", (p.sigma1,), dn1), x.plane)
+        x = anscombe(v) if spec.vst else v
+        v_tilde = _blend(p.alpha, lambda: dn1(x), x.plane)
         with stage(timings, "dm"):
             return demosaic(CfaImage(v_tilde, x.phase), spec.dm)
 
@@ -142,10 +140,8 @@ def run_pipeline(
         with stage(timings, "dn2"):
             return denoise_rgb(u_dm, spec.dn2, DenoiseConfig(sigma=p.sigma2)).planes
 
-    dm_key = (0.0,) if p.alpha == 0.0 else (p.alpha, p.sigma1)
-    dn2_key = dm_key + (p.sigma2,)
-    u_dm = cache.get("dm", dm_key, dm)
-    u_hat = ColorImage(_blend(p.beta, lambda: cache.get("dn2", dn2_key, dn2), u_dm.planes))
+    u_dm = cache.demosaiced(v, spec, dm)
+    u_hat = ColorImage(_blend(p.beta, dn2, u_dm.planes))
     return anscombe_inverse(u_hat) if spec.vst else u_hat
 
 

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -156,10 +156,10 @@ def reference_pipeline(v: CfaImage, spec: PipelineSpec) -> ColorImage:
     return anscombe_inverse(u) if spec.vst else u
 
 
-# The functions behind each cached stage, as `run_pipeline` calls them.
+# The functions `run_pipeline` calls, by the stage they belong to.
 STAGE_FUNCTIONS = {"vst": "anscombe", "dn1": "denoise_cfa", "dm": "demosaic", "dn2": "denoise_rgb"}
 
-# Few values per parameter, so a sequence both repeats and changes each stage's key.
+# Few values per parameter, so a sequence both repeats and changes the DM key.
 _params = st.builds(
     PipelineParams,
     alpha=st.sampled_from([0.0, 0.5, 1.0]),
@@ -168,6 +168,11 @@ _params = st.builds(
     sigma2=st.sampled_from([0.0, 10.0, 30.0]),
 )
 _denoisers = st.sampled_from([DenoiserId.DCT8, DenoiserId.IDENTITY])
+
+
+def dm_key(p: PipelineParams) -> tuple:
+    """What DM's result depends on: alpha = 0 feeds DM the input whatever sigma1 is."""
+    return (0.0,) if p.alpha == 0.0 else (p.alpha, p.sigma1)
 
 
 @settings(max_examples=60)
@@ -184,7 +189,8 @@ def test_stage_cache_matches_the_uncached_pipeline(sequence, dn1, dn2, vst):
 
     def watch(stage_name, fn):
         def wrapper(*args, **kwargs):
-            assert stage_name not in cache.slots  # evicted before its replacement is computed
+            if stage_name != "dn2":
+                assert cache.result is None  # evicted before its replacement is computed
             computed.append(stage_name)
             return fn(*args, **kwargs)
 
@@ -195,22 +201,25 @@ def test_stage_cache_matches_the_uncached_pipeline(sequence, dn1, dn2, vst):
             mp.setattr(pipeline, func, watch(name, getattr(pipeline, func)))
         for spec, planes in zip(specs, expected):
             assert np.array_equal(run_pipeline(v, spec, cache=cache).planes, planes)
-            assert set(cache.slots) <= set(STAGE_FUNCTIONS)
-        # Every stage of a repeated point is a hit: nothing runs and nothing is timed.
+        # DM runs once per change of its key, and only there.
+        keys = [dm_key(p) for p in sequence]
+        assert computed.count("dm") == 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+        # A repeated point runs only DN2, when beta > 0, and times only that.
         computed.clear()
         timings = {}
         again = run_pipeline(v, specs[-1], timings=timings, cache=cache)
-    assert computed == [] and timings == {}
+    ran = ["dn2"] if sequence[-1].beta != 0.0 else []
+    assert computed == ran and sorted(timings) == ran
     assert np.array_equal(again.planes, expected[-1])
 
 
 def test_stage_cache_serves_one_input_and_one_set_of_operators():
     v, _ = noisy_cfa(13)
-    w, _ = noisy_cfa(14)
+    w, _ = noisy_cfa(14, sigma=5.0)  # stays above -3/8, so vst applies
     cache = StageCache()
     spec = PipelineSpec(PipelineParams(0.5, 0.5, 10.0, 10.0))
     run_pipeline(v, spec, cache=cache)
-    for u, s in ((w, spec), (w, PipelineSpec(spec.params, dn2="identity"))):
+    for u, s in ((w, spec), (w, PipelineSpec(spec.params, dn1="identity")), (w, replace(spec, vst=True))):
         assert np.array_equal(run_pipeline(u, s, cache=cache).planes, reference_pipeline(u, s).planes)
 
 
