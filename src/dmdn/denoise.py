@@ -4,7 +4,8 @@ Both denoisers work in the orthonormal YC1C2 opponent space.  The sliding
 DCT denoiser hard-thresholds AC coefficients of overlapping 8x8 blocks and
 averages the overlapping estimates uniformly.  The NL-means denoiser
 computes patch weights from the Y channel only and applies the same weight
-field to all three channels.
+field to all three channels; its patch distances are 5x5 box means taken as
+running sums in numpy, in the order scipy.ndimage.uniform_filter adds them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from .image import SIGMA_RANGE, ColorImage, check_range, coerce_enum, opponent_planes, rgb_planes
 from .mosaic import CfaImage, HalfPair, recombine_cfa, split_cfa
@@ -98,6 +98,39 @@ def _dct8_channel(x: np.ndarray, sigma: float) -> np.ndarray:
     return acc[pad : pad + h, pad : pad + w] / 4
 
 
+def _mirror_plan(n: int):
+    """Where a running PATCH-mean along an axis of n samples reads them.
+
+    Output k averages positions k .. k + PATCH - 1 of the axis padded by
+    r = PATCH // 2 mirrored samples at each end (numpy's "reflect", ndimage's
+    "mirror").  Returns the first window's samples, the slice of outputs whose
+    entering sample k + r and leaving sample k - r - 1 both lie in the axis,
+    and the other outputs with their entering and leaving samples.
+    """
+    r = PATCH // 2
+    idx = np.pad(np.arange(n), r, mode="reflect")
+    inner = slice(r + 1, max(n - r, r + 1))
+    edge = np.r_[1 : min(inner.start, n), inner.stop : n]
+    return idx[:PATCH], inner, edge, idx[edge + 2 * r], idx[edge - 1]
+
+
+def _running_mean(x: np.ndarray, out: np.ndarray, plan) -> None:
+    """PATCH-sample mean along axis 0 of x, mirrored at the ends, into out.
+
+    The first window is summed in order, then a running sum adds each
+    entering minus leaving sample, and each sum is divided by PATCH: the
+    order of operations of ndimage.uniform_filter1d, so the bits are the same.
+    """
+    first, inner, edge, enter, leave = plan
+    out[0] = x[first[0]]
+    for i in first[1:]:
+        out[0] += x[i]
+    np.subtract(x[PATCH:], x[: max(len(x) - PATCH, 0)], out=out[inner])
+    out[edge] = x[enter] - x[leave]
+    np.cumsum(out, axis=0, out=out)
+    out /= PATCH
+
+
 def _denoise_nlmeans(opp: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     y = opp[0]
     h, w = y.shape
@@ -107,18 +140,23 @@ def _denoise_nlmeans(opp: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     h2 = max(H_GAIN * cfg.sigma**2 * PATCH**2, np.finfo(np.float64).tiny)
     two_sigma2 = 2.0 * cfg.sigma**2
     padded = np.pad(opp, ((0, 0), (half, half), (half, half)), mode="reflect")
+    row_plan, col_plan = _mirror_plan(h), _mirror_plan(w)
 
     num = np.zeros_like(opp)
     den = np.zeros((h, w))
     wmax = np.zeros((h, w))
+    d2 = np.empty((h, w))
+    col_means = np.empty((h, w))
     for di in range(-half, half + 1):
         for dj in range(-half, half + 1):
             if di == 0 and dj == 0:
                 continue
             shifted = padded[:, half + di : half + di + h, half + dj : half + dj + w]
-            d2 = ndimage.uniform_filter(
-                (y - shifted[0]) ** 2, size=PATCH, mode="mirror"
-            )
+            # Patch distance: the 5x5 mean of squared Y differences, down columns then along rows.
+            np.subtract(y, shifted[0], out=d2)
+            d2 *= d2
+            _running_mean(d2, col_means, row_plan)
+            _running_mean(col_means.T, d2.T, col_plan)
             with np.errstate(over="ignore"):
                 wgt = np.exp(-np.maximum(d2 - two_sigma2, 0.0) / h2)
             wmax = np.maximum(wmax, wgt)

@@ -77,6 +77,8 @@ def read_image(path) -> ColorImage | GrayImage | CfaImage:
     third, end = _read_token(data, pos, path, float if pfm else int, "scale" if pfm else "maxval")
     if pfm and third == 0.0:
         raise ImageFormatError(path, pos, "scale must be nonzero")
+    if pfm and not np.isfinite(third):
+        raise ImageFormatError(path, pos, f"scale must be finite, got {third}")
     if width <= 0 or height <= 0:
         raise ImageFormatError(path, 2, f"invalid dimensions {width}x{height}")
     if not pfm and third != 255:

@@ -245,6 +245,9 @@ def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.ppm"
     bad.write_bytes(b"P6\n4 4\n255\nxx")
     assert run("demosaic", "--input", bad, "--out", tmp_path / "x.ppm") == 3
+    bad.write_bytes(b"PF\n2 2\nnan\n" + bytes(48))  # a non-finite PFM scale names no byte order
+    assert run("noise", "--input", bad, "--sigma", 5, "--out", tmp_path / "x.pfm") == 3
+    assert not (tmp_path / "x.pfm").exists()
     # domain error -> 4
     img = tmp_path / "img.ppm"
     formats.write_image(img, make_natural(1, size=16))

@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import ndimage
 
 from dmdn.denoise import (
     BLOCK,
@@ -22,7 +23,7 @@ from dmdn.denoise import (
     denoise_rgb,
 )
 from dmdn.image import ColorImage, DomainError, opponent_planes, rgb_planes
-from dmdn.mosaic import CfaImage, mosaick, sites
+from dmdn.mosaic import CfaImage, HalfPair, mosaick, recombine_cfa, sites, split_cfa
 from dmdn.noise import NoiseSpec, add_awgn
 
 from conftest import make_natural
@@ -233,6 +234,75 @@ def test_nlmeans_at_a_tiny_sigma_keeps_a_flat_image():
         warnings.simplefilter("error")
         out = denoise_rgb(img, "nlmeans", DenoiseConfig(sigma=1e-200))
     assert np.abs(out.planes - img.planes).max() <= 1e-9
+
+
+def _scipy_nlmeans(opp, sigma):
+    # The NL-means loop as it was with scipy's 5x5 box mean; the numpy
+    # running sums must reproduce it bit for bit.
+    y = opp[0]
+    h, w = y.shape
+    half = WINDOW // 2
+    h2 = max(H_GAIN * sigma**2 * PATCH**2, np.finfo(np.float64).tiny)
+    two_sigma2 = 2.0 * sigma**2
+    padded = np.pad(opp, ((0, 0), (half, half), (half, half)), mode="reflect")
+    num = np.zeros_like(opp)
+    den = np.zeros((h, w))
+    wmax = np.zeros((h, w))
+    for di in range(-half, half + 1):
+        for dj in range(-half, half + 1):
+            if di == 0 and dj == 0:
+                continue
+            shifted = padded[:, half + di : half + di + h, half + dj : half + dj + w]
+            d2 = ndimage.uniform_filter((y - shifted[0]) ** 2, size=PATCH, mode="mirror")
+            with np.errstate(over="ignore"):
+                wgt = np.exp(-np.maximum(d2 - two_sigma2, 0.0) / h2)
+            wmax = np.maximum(wmax, wgt)
+            den += wgt
+            num += wgt * shifted
+    wmax = np.where(wmax > 0.0, wmax, 1.0)
+    den += wmax
+    num += wmax * opp
+    return num / den
+
+
+def _scipy_nlmeans_rgb(img, sigma):
+    return ColorImage(rgb_planes(_scipy_nlmeans(opponent_planes(img.planes), sigma)))
+
+
+_NLMEANS_SIGMAS = (1e-200, 0.5, 20.0, 80.0)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.sampled_from(_NLMEANS_SIGMAS),
+    st.sampled_from((1.0, 255.0, 1e4)),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 1, 20.0, 255.0, False, 0)
+@example(1, 37, 0.5, 1e4, False, 1)
+@example(29, 1, 80.0, 255.0, True, 2)
+@example(2, 2, 1e-200, 1e4, False, 3)
+@example(40, 40, 20.0, 1e4, False, 4)
+def test_nlmeans_matches_scipy_reference_property(h, w, sigma, top, rounded, seed):
+    # Integer-rounded samples give exact zero distances and ties.
+    values = np.random.default_rng(seed).uniform(0.0, top, size=(3, h, w))
+    img = ColorImage(np.round(values) if rounded else values)
+    out = denoise_rgb(img, "nlmeans", DenoiseConfig(sigma=sigma))
+    assert np.array_equal(out.planes, _scipy_nlmeans_rgb(img, sigma).planes)
+
+
+@pytest.mark.parametrize("shape", ((2, 2), (4, 4), (6, 8)))
+@pytest.mark.parametrize("sigma", _NLMEANS_SIGMAS)
+def test_nlmeans_cfa_matches_scipy_reference(shape, sigma):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    cfa = CfaImage(rng.uniform(0.0, 255.0, size=shape), "GBRG")
+    out = denoise_cfa(cfa, "nlmeans", DenoiseConfig(sigma=sigma))
+    pair = split_cfa(cfa)
+    halves = HalfPair(_scipy_nlmeans_rgb(pair.first, sigma), _scipy_nlmeans_rgb(pair.second, sigma))
+    assert np.array_equal(out.plane, recombine_cfa(halves, cfa.phase).plane)
 
 
 def test_denoise_cfa_identity_is_exact():

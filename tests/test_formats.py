@@ -1,3 +1,4 @@
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -125,6 +126,16 @@ def test_signalling_nan_pfm_is_only_a_domain_error(tmp_path):
     path = tmp_path / "snan.pfm"
     path.write_bytes(b"Pf\n2 1\n-1.0\n" + np.array([0x7F800001, 0], dtype="<u4").tobytes())
     with pytest.raises(DomainError, match="non-finite values are not allowed"):
+        read_image(path)
+
+
+@pytest.mark.parametrize("scale", (b"nan", b"inf", b"-inf", b"1e400"))
+def test_non_finite_pfm_scale_is_rejected(tmp_path, scale):
+    # A scale's sign is the byte order; nan, inf and an overflowing 1e400 name none.
+    path = tmp_path / "img.pfm"
+    path.write_bytes(b"Pf\n2 1\n" + scale + b"\n" + bytes(8))
+    got = str(float(scale))
+    with pytest.raises(ImageFormatError, match=f"byte 6: scale must be finite, got {got}$"):
         read_image(path)
 
 
@@ -271,6 +282,8 @@ def _ref_read_pfm(data: bytes, path, magic: bytes):
         raise ImageFormatError(path, pos, f"invalid scale {scale_token!r}") from None
     if scale == 0.0:
         raise ImageFormatError(path, pos, "scale must be nonzero")
+    if not math.isfinite(scale):
+        raise ImageFormatError(path, pos, f"scale must be finite, got {scale}")
     if width <= 0 or height <= 0:
         raise ImageFormatError(path, 2, f"invalid dimensions {width}x{height}")
     pos = scale_pos
@@ -426,6 +439,7 @@ def _image_files(draw) -> bytes:
 @example(b"P6\n2 1\n255\n" + bytes(range(6)))
 @example(b"P5 # c\n2 1\n255\n" + bytes([7, 9]))
 @example(b"PF\n0 2\n0.0\n")  # PFM checks the scale before the dimensions
+@example(b"Pf\n2 1\nnan\n" + bytes(8))  # a non-finite scale names no byte order
 @example(b"P5\n0 2\n7\n")  # PNM checks the dimensions before maxval
 @example(b"P6\n2 2\n255\n" + bytes(5))
 @example(b"Pf\n2 1\n-1.0\n" + np.array([0x7F800001, 0], dtype="<u4").tobytes())  # signalling NaN

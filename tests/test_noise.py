@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import subprocess
@@ -116,15 +117,34 @@ def test_first_normal_field_peak_memory_at_512(monkeypatch):
 
 
 def test_import_leaves_jump_table_empty():
-    # Importing the CLI (timed as set-up) must not build the jump table.
+    # Importing the CLI (timed as set-up) must not build the jump table,
+    # nor load scipy, which only the tests use.
     src = str(Path(noise.__file__).resolve().parents[1])
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); "
-        "import dmdn.cli, dmdn.noise; print(len(dmdn.noise._JUMPS))"
+        "import dmdn, dmdn.cli, dmdn.noise; print(len(dmdn.noise._JUMPS)); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     result = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "0"
+    assert result.stdout.split() == ["0", "[]"]
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # Static, so an import inside a function that no test reaches still counts.
+    package = Path(noise.__file__).resolve().parent
+    foreign = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            top = {name.split(".")[0] for name in names}
+            foreign += [(path.name, name) for name in sorted(top - sys.stdlib_module_names - {"numpy"})]
+    assert foreign == []
 
 
 def test_uniform_stream_matches_recorded_digest():
