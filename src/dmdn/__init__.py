@@ -20,7 +20,7 @@ from .demosaic import DemosaicerId, demosaic
 from .denoise import DenoiseConfig, DenoiserId, denoise_cfa, denoise_rgb
 from .formats import ImageFormatError, read_image, write_image
 from .image import ColorImage, DomainError, GrayImage, opponent_planes, rgb_planes
-from .mosaic import CfaImage, HalfPair, mosaick, recombine_cfa, split_cfa
+from .mosaic import CfaImage, mosaick, recombine_cfa, split_cfa
 from .noise import (
     NoiseSpec,
     RngStream,

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple
@@ -72,11 +73,11 @@ def _load_dataset(directory) -> list[tuple[str, ColorImage]]:
 def _cfa_input(path) -> CfaImage:
     """A CFA input: a gray image with its `.meta` phase sidecar."""
     img = formats.read_image(path)
+    if isinstance(img, CfaImage):  # before GrayImage: every CfaImage is one
+        return img
     if isinstance(img, GrayImage):
         raise FileNotFoundError(f"{path}.meta: missing CFA phase sidecar")
-    if not isinstance(img, CfaImage):
-        raise DomainError(f"{path}: CFA file must be a gray image")
-    return img
+    raise DomainError(f"{path}: CFA file must be a gray image")
 
 
 def _read_color(path) -> ColorImage:
@@ -86,11 +87,32 @@ def _read_color(path) -> ColorImage:
     return img
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _map_jobs(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items] on at most min(jobs, len(items), usable CPUs) threads."""
+    if jobs > 1:
+        items = list(items)
+        jobs = min(jobs, len(items), _usable_cpus())
     if jobs <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
+
+
+def _usable_out(out, directory: bool) -> Path:
+    """`--out` as a Path; an OSError before any work if it cannot be made. Creates nothing."""
+    out = Path(out)
+    if out.exists() and out.is_dir() != directory:
+        raise FileExistsError(f"--out {out}: " + ("not a directory" if directory else "is a directory"))
+    ancestor = next((a for a in out.parents if a.exists()), None)
+    if ancestor is not None and not ancestor.is_dir():
+        raise NotADirectoryError(f"--out {out}: {ancestor} is not a directory")
+    return out
 
 
 def _image_seeds(master_seed: int, dataset) -> dict[str, int]:
@@ -227,6 +249,7 @@ def cmd_pipeline_preset(args) -> None:
 
 def cmd_pipeline_sweep_k(args) -> None:
     _distinct_labels("--k-list", "factor", args.k_list)
+    out = _usable_out(args.out, directory=False)
     dataset = _load_dataset(args.dataset)
 
     def one(task):
@@ -240,7 +263,6 @@ def cmd_pipeline_sweep_k(args) -> None:
         math.fsum(rows[i][1] for rows in per_image) / len(per_image)
         for i in range(len(args.k_list))
     ]
-    out = Path(args.out)
     _write_csv(out, ["k", "mean_cpsnr"], ([k, f"{m:.6f}"] for k, m in zip(args.k_list, means)))
     _write_manifest(
         args,
@@ -257,13 +279,13 @@ def cmd_pipeline_sweep_k(args) -> None:
 
 
 def cmd_tune(args) -> None:
+    out_dir = _usable_out(args.out, directory=True)
     dataset = _load_dataset(args.dataset)
     spec = _spec_from_args(args, PipelineParams(0.0, 0.0, 0.0, 0.0))
     cfg = CmaConfig(population=args.population, max_evals=args.max_evals, seed=args.seed)
     with stage({}, "tune") as timings:
         result = tune_pipeline([img for _, img in dataset], args.sigma, spec, cfg, phase=args.phase)
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result_path = out_dir / "tune_result.json"
     _write_json(
@@ -328,10 +350,10 @@ def cmd_stats(args) -> None:
 
 def cmd_rmse_table(args) -> None:
     _distinct_labels("--sigmas", "noise level", args.sigmas)
+    out = _usable_out(args.out, directory=False)
     dataset = _load_dataset(args.dataset)
     with stage({}, "rmse_table") as timings:
         rows = rmse_table([img for _, img in dataset], args.method, args.sigmas, args.seed, phase=args.phase)
-    out = Path(args.out)
     _write_csv(out, ["sigma", "mean_rmse"], ([sigma, f"{value:.6f}"] for sigma, value in rows))
     _write_manifest(
         args,
@@ -346,6 +368,7 @@ def cmd_rmse_table(args) -> None:
 def cmd_eval(args) -> None:
     labels = _distinct_labels("--sigmas", "noise level", args.sigmas)
     params = [{name: preset(name, sigma) for name in PRESET_NAMES} for sigma in args.sigmas]
+    out_dir = _usable_out(args.out, directory=True)
     dataset = _load_dataset(args.dataset)
 
     def run_one(task):
@@ -378,7 +401,7 @@ def cmd_eval(args) -> None:
             key = f"{preset_name}_sigma{label}"
             aggregate[key] = math.fsum(scores[key] for scores in per_image.values()) / len(dataset)
             rows.append([sigma, preset_name, *astuple(preset_params), f"{aggregate[key]:.6f}"])
-    csv_path = Path(args.out) / "eval.csv"
+    csv_path = out_dir / "eval.csv"
     _write_csv(csv_path, ["sigma", "method", *PARAMETERS, "mean_cpsnr"], rows)
     _write_manifest(
         args,

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .image import SIGMA_RANGE, ColorImage, check_range, coerce_enum, opponent_planes, rgb_planes
-from .mosaic import CfaImage, HalfPair, recombine_cfa, split_cfa
+from .mosaic import CfaImage, recombine_cfa, split_cfa
 
 
 class DenoiserId(str, Enum):
@@ -191,7 +191,4 @@ def denoise_cfa(cfa: CfaImage, method, cfg: DenoiseConfig) -> CfaImage:
     method = coerce_enum(DenoiserId, method, "denoiser")
     if method is DenoiserId.IDENTITY:
         return cfa
-    pair = split_cfa(cfa)
-    first = denoise_rgb(pair.first, method, cfg)
-    second = denoise_rgb(pair.second, method, cfg)
-    return recombine_cfa(HalfPair(first, second), cfa.phase)
+    return recombine_cfa([denoise_rgb(half, method, cfg) for half in split_cfa(cfa)], cfa.phase)

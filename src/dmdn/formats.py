@@ -121,7 +121,7 @@ def write_image(path, img: ColorImage | GrayImage | CfaImage) -> None:
     suffix = path.suffix.lower()
     if suffix == ".ppm" and not isinstance(img, ColorImage):
         raise ImageFormatError(path, None, ".ppm requires a ColorImage")
-    if suffix == ".pgm" and not isinstance(img, (GrayImage, CfaImage)):
+    if suffix == ".pgm" and not isinstance(img, GrayImage):
         raise ImageFormatError(path, None, ".pgm requires a GrayImage")
     if suffix not in (".ppm", ".pgm", ".pfm"):
         raise ImageFormatError(path, None, f"unsupported extension {suffix!r} (use .ppm/.pgm/.pfm)")

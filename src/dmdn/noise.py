@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -169,13 +169,11 @@ class RngStream:
 
 
 def _map_values(img, fn):
-    """Apply fn to the raw sample array of any image container."""
+    """Apply fn to the raw sample array of any image container; a CFA keeps its phase."""
     if isinstance(img, ColorImage):
         return ColorImage(fn(img.planes))
     if isinstance(img, GrayImage):
-        return GrayImage(fn(img.plane))
-    if isinstance(img, CfaImage):
-        return CfaImage(fn(img.plane), img.phase)
+        return replace(img, plane=fn(img.plane))
     raise TypeError(f"unsupported image type {type(img).__name__}")
 
 

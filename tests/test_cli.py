@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmdn import cli, formats, optimize, pipeline
+from dmdn import analysis, cli, formats, optimize, pipeline
 from dmdn.cli import build_parser, main
 from dmdn.image import ColorImage, GrayImage
 from dmdn.noise import RngStream
@@ -153,15 +153,66 @@ def test_rerun_absolutizes_only_path_flags():
     ]
 
 
-def test_eval_jobs_parallel_matches_serial(tmp_path, dataset_dir):
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    base = ("eval", "--dataset", dataset_dir, "--sigmas", "10", "--seed", 4)
-    assert run(*base, "--jobs", 1, "--out", serial) == 0
-    assert run(*base, "--jobs", 4, "--out", parallel) == 0
-    a = json.loads((serial / "eval.manifest.json").read_text())["aggregate_metrics"]
-    b = json.loads((parallel / "eval.manifest.json").read_text())["aggregate_metrics"]
-    assert a == b
+def test_eval_jobs_parallel_matches_serial(tmp_path, dataset_dir, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # two threads even on a one-CPU host
+    for argv, csv_name in (
+        (("eval", "--sigmas", "10,20"), "eval/eval.csv"),
+        (("pipeline", "sweep-k", "--sigma", 20, "--k-list", "1,1.5"), "sweep.csv"),
+    ):
+        outputs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}" / csv_name
+            target = out.parent if csv_name.startswith("eval/") else out
+            assert run(*argv, "--dataset", dataset_dir, "--seed", 4, "--jobs", jobs, "--out", target) == 0
+            manifest = json.loads(out.with_name(out.stem + ".manifest.json").read_text())
+            outputs.append((out.read_bytes(), manifest["per_image_metrics"], manifest["aggregate_metrics"]))
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [(3, 10000, 3), (8, 10000, 4), (8, 2, 2), (1, 4, None)])
+def test_map_jobs_starts_at_most_one_thread_per_item_and_cpu(tmp_path, dataset_dir, monkeypatch, cpus, jobs, workers):
+    started = []
+
+    class Recorder(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    # 2 images x 2 sigmas: four items
+    assert run("eval", "--dataset", dataset_dir, "--sigmas", "5,20", "--jobs", jobs, "--out", tmp_path / "e") == 0
+    assert started == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize(
+    "argv, directory",
+    [
+        (("tune", "--sigma", 10, "--max-evals", 8), True),
+        (("eval", "--sigmas", "10"), True),
+        (("pipeline", "sweep-k", "--sigma", 10, "--k-list", "1"), False),
+        (("rmse-table", "--sigmas", "10"), False),
+    ],
+    ids=["tune", "eval", "sweep-k", "rmse-table"],
+)
+def test_unusable_out_fails_before_any_work(tmp_path, dataset_dir, monkeypatch, capsys, argv, directory):
+    def never(*args, **kwargs):
+        pytest.fail("the command started its work")
+
+    for module, name in ((cli, "_load_dataset"), (cli, "noisy_mosaics"), (cli, "tune_pipeline"),
+                         (analysis, "noisy_mosaics")):
+        monkeypatch.setattr(module, name, never)
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "file").write_text("x")
+    (work / "dir").mkdir()
+    unusable = [work / "file" / "out", work / "file" / "a" / "out"]  # an ancestor is a regular file
+    unusable.append(work / ("file" if directory else "dir"))  # the wrong kind of entry already exists
+    for out in unusable:
+        assert run(*argv, "--dataset", dataset_dir, "--out", out) == 3
+        assert f"error: --out {out}: " in capsys.readouterr().err
+    assert sorted(p.name for p in work.iterdir()) == ["dir", "file"]
+    assert list((work / "dir").iterdir()) == [] and (work / "file").read_text() == "x"
 
 
 def test_sweep_k_csv(tmp_path, dataset_dir):

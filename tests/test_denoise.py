@@ -23,7 +23,7 @@ from dmdn.denoise import (
     denoise_rgb,
 )
 from dmdn.image import ColorImage, DomainError, opponent_planes, rgb_planes
-from dmdn.mosaic import CfaImage, HalfPair, mosaick, recombine_cfa, sites, split_cfa
+from dmdn.mosaic import CfaImage, mosaick, recombine_cfa, sites, split_cfa
 from dmdn.noise import NoiseSpec, add_awgn
 
 from conftest import make_natural
@@ -300,8 +300,7 @@ def test_nlmeans_cfa_matches_scipy_reference(shape, sigma):
     rng = np.random.default_rng(shape[0] * shape[1])
     cfa = CfaImage(rng.uniform(0.0, 255.0, size=shape), "GBRG")
     out = denoise_cfa(cfa, "nlmeans", DenoiseConfig(sigma=sigma))
-    pair = split_cfa(cfa)
-    halves = HalfPair(_scipy_nlmeans_rgb(pair.first, sigma), _scipy_nlmeans_rgb(pair.second, sigma))
+    halves = [_scipy_nlmeans_rgb(half, sigma) for half in split_cfa(cfa)]
     assert np.array_equal(out.plane, recombine_cfa(halves, cfa.phase).plane)
 
 

@@ -192,10 +192,24 @@ def test_awgn_color_consumes_normals_channel_major():
     assert np.array_equal(out.planes, expected)
 
 
-def test_awgn_preserves_cfa_phase():
-    cfa = CfaImage(np.zeros((4, 4)), "BGGR")
-    out = add_awgn(cfa, NoiseSpec(1.0, seed=0))
-    assert out.phase == "BGGR"
+_CONTAINERS = {
+    "gray": lambda values: GrayImage(values[0]),
+    "color": ColorImage,
+    **{phase: lambda values, phase=phase: CfaImage(values[0], phase) for phase in PHASES},
+}
+
+
+@pytest.mark.parametrize("kind", _CONTAINERS)
+def test_noise_maps_keep_container_and_phase(kind):
+    img = _CONTAINERS[kind](np.arange(3 * 4 * 6, dtype=np.float64).reshape(3, 4, 6))
+    for out in (
+        add_awgn(img, NoiseSpec(1.0, seed=0)),
+        poisson_sample(img, seed=1),
+        anscombe(img),
+        anscombe_inverse(img),
+    ):
+        assert type(out) is type(img)
+        assert getattr(out, "phase", None) == getattr(img, "phase", None)
 
 
 def test_independent_noise_variances_add():
