@@ -155,17 +155,17 @@ def test_rerun_absolutizes_only_path_flags():
 
 def test_eval_jobs_parallel_matches_serial(tmp_path, dataset_dir, monkeypatch):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # two threads even on a one-CPU host
-    for argv, csv_name in (
-        (("eval", "--sigmas", "10,20"), "eval/eval.csv"),
-        (("pipeline", "sweep-k", "--sigma", 20, "--k-list", "1,1.5"), "sweep.csv"),
+    for argv, out_name, csv_name in (
+        (("eval", "--sigmas", "10,20"), "eval", "eval/eval.csv"),
+        (("pipeline", "sweep-k", "--sigma", 20, "--k-list", "1,1.5"), "sweep.csv", "sweep.csv"),
     ):
         outputs = []
         for jobs in (1, 2):
-            out = tmp_path / f"jobs{jobs}" / csv_name
-            target = out.parent if csv_name.startswith("eval/") else out
-            assert run(*argv, "--dataset", dataset_dir, "--seed", 4, "--jobs", jobs, "--out", target) == 0
-            manifest = json.loads(out.with_name(out.stem + ".manifest.json").read_text())
-            outputs.append((out.read_bytes(), manifest["per_image_metrics"], manifest["aggregate_metrics"]))
+            root = tmp_path / f"jobs{jobs}"
+            assert run(*argv, "--dataset", dataset_dir, "--seed", 4, "--jobs", jobs, "--out", root / out_name) == 0
+            csv_path = root / csv_name
+            manifest = json.loads(csv_path.with_name(csv_path.stem + ".manifest.json").read_text())
+            outputs.append((csv_path.read_bytes(), manifest["per_image_metrics"], manifest["aggregate_metrics"]))
         assert outputs[0] == outputs[1]
 
 

@@ -192,16 +192,13 @@ def test_awgn_color_consumes_normals_channel_major():
     assert np.array_equal(out.planes, expected)
 
 
-_CONTAINERS = {
-    "gray": lambda values: GrayImage(values[0]),
-    "color": ColorImage,
-    **{phase: lambda values, phase=phase: CfaImage(values[0], phase) for phase in PHASES},
-}
-
-
-@pytest.mark.parametrize("kind", _CONTAINERS)
+@pytest.mark.parametrize("kind", ["gray", "color", *PHASES])
 def test_noise_maps_keep_container_and_phase(kind):
-    img = _CONTAINERS[kind](np.arange(3 * 4 * 6, dtype=np.float64).reshape(3, 4, 6))
+    values = np.arange(3 * 4 * 6, dtype=np.float64).reshape(3, 4, 6)
+    if kind == "color":
+        img = ColorImage(values)
+    else:
+        img = GrayImage(values[0]) if kind == "gray" else CfaImage(values[0], kind)
     for out in (
         add_awgn(img, NoiseSpec(1.0, seed=0)),
         poisson_sample(img, seed=1),
