@@ -18,8 +18,10 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple
+from itertools import chain, islice
 from pathlib import Path
 
 from . import formats
@@ -29,7 +31,7 @@ from .denoise import DenoiseConfig, DenoiserId, denoise_cfa, denoise_rgb
 from .image import ColorImage, DomainError, GrayImage
 from .mosaic import PHASES, CfaImage, mosaick
 from .noise import NoiseSpec, add_awgn, derive_seed, noisy_mosaics, poisson_sample
-from .optimize import CmaConfig, tune_pipeline
+from .optimize import CmaConfig, tune_pipeline, usable_cpus
 from .pipeline import (
     PARAMETERS,
     PRESET_NAMES,
@@ -87,21 +89,32 @@ def _read_color(path) -> ColorImage:
     return img
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def _map_jobs(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items] on at most min(jobs, len(items), usable CPUs) threads."""
-    if jobs > 1:
-        items = list(items)
-        jobs = min(jobs, len(items), _usable_cpus())
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    """[fn(item) for item in items] on at most min(jobs, len(items), usable CPUs) threads.
+
+    Items are drawn only as results are taken, so at most two per thread
+    are held at once, not all of a generator's items (noisy captures, say).
+    """
+    items = iter(items)
+    threads = min(jobs, usable_cpus())
+    head = list(islice(items, 2 * threads))
+    threads = min(threads, len(head))
+    if threads <= 1:
+        return [fn(item) for item in chain(head, items)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque(pool.submit(fn, item) for item in head)
+        del head  # hold no reference: each item is freed once its task has run
+        results = []
+        while pending:
+            results.append(pending.popleft().result())
+            pending.extend(pool.submit(fn, item) for item in islice(items, 1))  # the next item, if any
+        return results
+
+
+def _children_cpu_s() -> float:
+    """CPU seconds of this process's ended children, such as tune's workers."""
+    times = os.times()
+    return times.children_user + times.children_system
 
 
 def _usable_out(out, directory: bool) -> Path:
@@ -283,8 +296,10 @@ def cmd_tune(args) -> None:
     dataset = _load_dataset(args.dataset)
     spec = _spec_from_args(args, PipelineParams(0.0, 0.0, 0.0, 0.0))
     cfg = CmaConfig(population=args.population, max_evals=args.max_evals, seed=args.seed)
+    worker_cpu_s = -_children_cpu_s()
     with stage({}, "tune") as timings:
-        result = tune_pipeline([img for _, img in dataset], args.sigma, spec, cfg, phase=args.phase)
+        result = tune_pipeline([img for _, img in dataset], args.sigma, spec, cfg, args.phase, args.jobs)
+    worker_cpu_s += _children_cpu_s()
 
     out_dir.mkdir(parents=True, exist_ok=True)
     result_path = out_dir / "tune_result.json"
@@ -311,6 +326,8 @@ def cmd_tune(args) -> None:
         per_image_seeds=_image_seeds(args.seed, dataset),
         aggregate_metrics={"best_cpsnr": result.best_value},
         timings=timings,
+        workers=result.workers,
+        worker_cpu_s=worker_cpu_s,
     )
 
 
@@ -545,8 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "tune", cmd_tune, "CMA-ES search for pipeline parameters",
                  "dataset", "phase", "seed", "jobs", "out",
-                 jobs="accepted but has no effect yet: tune scores its candidates one at a time "
-                      "(a process pool is ROADMAP item 2)")
+                 jobs="worker processes that score each CMA-ES generation's candidates "
+                      "(at most the population and the usable CPUs); the result does not depend on it")
     p.add_argument("--sigma", type=float, required=True)
     _add_component_flags(p)
     p.add_argument("--max-evals", type=int, default=3000)

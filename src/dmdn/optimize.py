@@ -11,6 +11,8 @@ package's own seeded generator, so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -71,6 +73,7 @@ class TuneResult:
     trace: list[tuple[float, float]]  # per generation: (best so far, generation mean)
     termination: str  # "max_evals" or "stagnation"
     evaluations: int = 0
+    workers: int = 1  # processes that scored the candidates; 1 means in-process
     generations: int = field(init=False)
 
     def __post_init__(self):
@@ -88,13 +91,66 @@ def _recombination_weights(lam: int, mu: int) -> tuple[np.ndarray, float]:
     return weights, float(mueff)
 
 
-def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig) -> TuneResult:
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+# The objective of a pool's worker process, set once by its initializer.
+_worker_objective = None
+
+
+def _init_worker(objective) -> None:
+    global _worker_objective
+    _worker_objective = objective
+
+
+def _score(x: np.ndarray) -> float:
+    return _worker_objective(x)
+
+
+@contextmanager
+def _scoring(objective, jobs: int, population: int):
+    """Yield (workers, score), where score(xs) is [objective(x) for x in xs] in order.
+
+    Up to min(jobs, population, usable CPUs) forked worker processes share
+    the map, one pool for the whole context.  Fork, not spawn, lets the
+    workers inherit the objective (a closure, which cannot be pickled) and
+    whatever it holds; only candidates and scores are pickled.  Without
+    fork, or with one worker, the map runs in-process.
+    """
+    workers = min(jobs, population, usable_cpus())
+    if workers > 1:
+        import multiprocessing  # lazily: the import costs ~14 ms of every CLI start
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # The executor, not multiprocessing.Pool: a killed worker raises
+            # BrokenProcessPool instead of hanging the map.  Leaving the block
+            # shuts the pool down and joins every worker, also when a score raised.
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(objective,),
+            ) as pool:
+                yield workers, lambda xs: list(pool.map(_score, xs))
+            return
+    yield 1, lambda xs: [objective(x) for x in xs]
+
+
+def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig, jobs: int = 1) -> TuneResult:
     """Maximize a black-box objective over a box.
 
     The update consumes candidate scores only through their ranking, so any
     strictly increasing transform of the objective leaves the visited
     candidate sequence unchanged for a fixed seed.  NaN scores rank worst;
     a generation of only NaNs raises AllCandidatesInvalid.
+
+    Each generation's candidates are scored as one ordered map on up to
+    `jobs` worker processes, so the result is the same for every `jobs`
+    apart from `workers`.  An objective's exception reaches the caller.
     """
     n = bounds.dimension
     lam = cfg.resolved_population(n)
@@ -122,62 +178,61 @@ def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig) -> TuneResult:
     evaluations = 0
     termination = "max_evals"
 
-    # Stop before any generation that would exceed the evaluation budget.
-    while evaluations + lam <= cfg.max_evals:
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        scales = np.sqrt(np.maximum(eigvals, 1e-30))
+    with _scoring(objective, jobs, lam) as (workers, score):
+        # Stop before any generation that would exceed the evaluation budget.
+        while evaluations + lam <= cfg.max_evals:
+            eigvals, eigvecs = np.linalg.eigh(cov)
+            scales = np.sqrt(np.maximum(eigvals, 1e-30))
 
-        z = stream.normals(lam * n).reshape(lam, n)
-        steps = (z * scales) @ eigvecs.T
-        candidates = np.clip(mean + sigma * steps, 0.0, 1.0)
+            z = stream.normals(lam * n).reshape(lam, n)
+            steps = (z * scales) @ eigvecs.T
+            candidates = np.clip(mean + sigma * steps, 0.0, 1.0)
 
-        scores = np.empty(lam)
-        for k in range(lam):
-            scores[k] = objective(bounds.lower + candidates[k] * span)
-        evaluations += lam
+            scores = np.array(score(list(bounds.lower + candidates * span)), dtype=np.float64)
+            evaluations += lam
 
-        nan_mask = np.isnan(scores)
-        if nan_mask.all():
-            raise AllCandidatesInvalid("all candidates in a generation scored NaN")
-        loss = np.where(nan_mask, math.inf, -scores)
-        order = np.argsort(loss, kind="stable")
+            nan_mask = np.isnan(scores)
+            if nan_mask.all():
+                raise AllCandidatesInvalid("all candidates in a generation scored NaN")
+            loss = np.where(nan_mask, math.inf, -scores)
+            order = np.argsort(loss, kind="stable")
 
-        gen_best = scores[order[0]]
-        if gen_best > best_value:
-            best_value = float(gen_best)
-            best_params = bounds.lower + candidates[order[0]] * span
-        finite = scores[~nan_mask & np.isfinite(scores)]
-        gen_mean = float(np.mean(finite)) if finite.size else float(gen_best)
-        trace.append((best_value, gen_mean))
+            gen_best = scores[order[0]]
+            if gen_best > best_value:
+                best_value = float(gen_best)
+                best_params = bounds.lower + candidates[order[0]] * span
+            finite = scores[~nan_mask & np.isfinite(scores)]
+            gen_mean = float(np.mean(finite)) if finite.size else float(gen_best)
+            trace.append((best_value, gen_mean))
 
-        selected = candidates[order[:mu]]
-        old_mean = mean
-        mean = weights @ selected
-        shift = (mean - old_mean) / sigma
+            selected = candidates[order[:mu]]
+            old_mean = mean
+            mean = weights @ selected
+            shift = (mean - old_mean) / sigma
 
-        inv_sqrt = eigvecs @ np.diag(1.0 / scales) @ eigvecs.T
-        p_s = (1 - cs) * p_s + math.sqrt(cs * (2 - cs) * mueff) * (inv_sqrt @ shift)
-        gens_done = len(trace)
-        h_sig = float(
-            np.dot(p_s, p_s) / n / (1 - (1 - cs) ** (2 * gens_done)) < 2 + 4 / (n + 1)
-        )
-        p_c = (1 - cc) * p_c + h_sig * math.sqrt(cc * (2 - cc) * mueff) * shift
+            inv_sqrt = eigvecs @ np.diag(1.0 / scales) @ eigvecs.T
+            p_s = (1 - cs) * p_s + math.sqrt(cs * (2 - cs) * mueff) * (inv_sqrt @ shift)
+            gens_done = len(trace)
+            h_sig = float(
+                np.dot(p_s, p_s) / n / (1 - (1 - cs) ** (2 * gens_done)) < 2 + 4 / (n + 1)
+            )
+            p_c = (1 - cc) * p_c + h_sig * math.sqrt(cc * (2 - cc) * mueff) * shift
 
-        deltas = (selected - old_mean) / sigma
-        rank_mu = np.einsum("k,ki,kj->ij", weights, deltas, deltas)
-        c1a = c1 * (1 - (1 - h_sig**2) * cc * (2 - cc))
-        cov = (1 - c1a - cmu) * cov + c1 * np.outer(p_c, p_c) + cmu * rank_mu
-        cov = (cov + cov.T) / 2
+            deltas = (selected - old_mean) / sigma
+            rank_mu = np.einsum("k,ki,kj->ij", weights, deltas, deltas)
+            c1a = c1 * (1 - (1 - h_sig**2) * cc * (2 - cc))
+            cov = (1 - c1a - cmu) * cov + c1 * np.outer(p_c, p_c) + cmu * rank_mu
+            cov = (cov + cov.T) / 2
 
-        sigma *= math.exp((cs / damps) * (np.linalg.norm(p_s) / chi_n - 1))
+            sigma *= math.exp((cs / damps) * (np.linalg.norm(p_s) / chi_n - 1))
 
-        if len(trace) > STAGNATION_WINDOW:
-            improvement = trace[-1][0] - trace[-1 - STAGNATION_WINDOW][0]
-            if math.isnan(improvement):  # inf plateau counts as no improvement
-                improvement = 0.0
-            if improvement < cfg.stagnation_tol:
-                termination = "stagnation"
-                break
+            if len(trace) > STAGNATION_WINDOW:
+                improvement = trace[-1][0] - trace[-1 - STAGNATION_WINDOW][0]
+                if math.isnan(improvement):  # inf plateau counts as no improvement
+                    improvement = 0.0
+                if improvement < cfg.stagnation_tol:
+                    termination = "stagnation"
+                    break
 
     return TuneResult(
         best_params=best_params,
@@ -185,6 +240,7 @@ def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig) -> TuneResult:
         trace=trace,
         termination=termination,
         evaluations=evaluations,
+        workers=workers,
     )
 
 
@@ -225,8 +281,13 @@ def tune_pipeline(
     spec: PipelineSpec,
     cfg: CmaConfig,
     phase: str = "RGGB",
+    jobs: int = 1,
 ) -> TuneResult:
-    """CMA-ES search for the best pipeline PARAMETERS over PIPELINE_BOUNDS."""
+    """CMA-ES search for the best pipeline PARAMETERS over PIPELINE_BOUNDS.
+
+    With jobs > 1 the forked workers inherit the frozen mosaics and keep
+    their own StageCaches.
+    """
     cfg.resolved_population(PIPELINE_BOUNDS.dimension)  # reject the budget before drawing any noise
     objective = pipeline_objective(dataset, sigma, spec, noise_seed=cfg.seed, phase=phase)
-    return cmaes_maximize(objective, PIPELINE_BOUNDS, cfg)
+    return cmaes_maximize(objective, PIPELINE_BOUNDS, cfg, jobs)

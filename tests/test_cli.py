@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import shlex
 from pathlib import Path
 
@@ -154,18 +155,24 @@ def test_rerun_absolutizes_only_path_flags():
 
 
 def test_eval_jobs_parallel_matches_serial(tmp_path, dataset_dir, monkeypatch):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # two threads even on a one-CPU host
-    for argv, out_name, csv_name in (
-        (("eval", "--sigmas", "10,20"), "eval", "eval/eval.csv"),
-        (("pipeline", "sweep-k", "--sigma", 20, "--k-list", "1,1.5"), "sweep.csv", "sweep.csv"),
+    for module in (cli, optimize):  # two workers even on a one-CPU host
+        monkeypatch.setattr(module, "usable_cpus", lambda: 2)
+    for argv, out_name, files in (
+        (("eval", "--sigmas", "10,20"), "eval", ["eval/eval.csv"]),
+        (("pipeline", "sweep-k", "--sigma", 20, "--k-list", "1,1.5"), "sweep.csv", ["sweep.csv"]),
+        (("tune", "--sigma", 20, "--max-evals", 16), "tune", ["tune/tune_result.json", "tune/trace.csv"]),
     ):
         outputs = []
         for jobs in (1, 2):
             root = tmp_path / f"jobs{jobs}"
             assert run(*argv, "--dataset", dataset_dir, "--seed", 4, "--jobs", jobs, "--out", root / out_name) == 0
-            csv_path = root / csv_name
-            manifest = json.loads(csv_path.with_name(csv_path.stem + ".manifest.json").read_text())
-            outputs.append((csv_path.read_bytes(), manifest["per_image_metrics"], manifest["aggregate_metrics"]))
+            assert multiprocessing.active_children() == []
+            first = root / files[0]
+            manifest = json.loads(first.with_name(first.stem + ".manifest.json").read_text())
+            assert manifest.get("workers", jobs) == jobs  # only tune records its workers
+            outputs.append(
+                ([(root / f).read_bytes() for f in files], manifest.get("per_image_metrics"), manifest["aggregate_metrics"])
+            )
         assert outputs[0] == outputs[1]
 
 
@@ -179,10 +186,29 @@ def test_map_jobs_starts_at_most_one_thread_per_item_and_cpu(tmp_path, dataset_d
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
     # 2 images x 2 sigmas: four items
     assert run("eval", "--dataset", dataset_dir, "--sigmas", "5,20", "--jobs", jobs, "--out", tmp_path / "e") == 0
     assert started == ([] if workers is None else [workers])
+
+
+def test_map_jobs_draws_items_only_as_results_are_taken(monkeypatch):
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    drawn = []
+
+    def items():
+        for i in range(20):
+            drawn.append(i)
+            yield i
+
+    ahead = []
+
+    def square(i):
+        ahead.append(len(drawn) - i)  # items drawn beyond this one
+        return i * i
+
+    assert cli._map_jobs(square, items(), 2) == [i * i for i in range(20)]
+    assert max(ahead) <= 4  # two per thread
 
 
 @pytest.mark.parametrize(

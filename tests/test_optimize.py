@@ -1,8 +1,11 @@
+import concurrent.futures
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from dmdn import optimize
 from dmdn.image import ColorImage, DomainError
 from dmdn.optimize import (
     AllCandidatesInvalid,
@@ -54,6 +57,57 @@ def test_determinism_per_seed():
     assert np.array_equal(a.best_params, b.best_params)
     assert a.best_value == b.best_value
     assert a.trace == b.trace and a.termination == b.termination
+
+
+def test_jobs_score_on_worker_processes_with_identical_result(monkeypatch):
+    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)  # two workers even on a one-CPU host
+    cfg = CmaConfig(max_evals=600, seed=21)
+    # A lambda objective works: forked workers inherit it, nothing pickles it.
+    one, two = (dict(vars(cmaes_maximize(lambda x: -sphere(x), box(3), cfg, jobs))) for jobs in (1, 2))
+    assert multiprocessing.active_children() == []
+    assert (one.pop("workers"), two.pop("workers")) == (1, 2)
+    assert np.array_equal(one.pop("best_params"), two.pop("best_params"))
+    assert one == two
+
+
+def test_worker_error_reaches_caller_and_no_worker_survives(monkeypatch):
+    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)
+
+    def objective(x):
+        if x[0] > 0:
+            raise DomainError("candidate outside the objective's domain")
+        return -sphere(x)
+
+    with pytest.raises(DomainError, match="outside the objective's domain"):
+        cmaes_maximize(objective, box(2), CmaConfig(max_evals=100, seed=1), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+class PoolStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "cpus, methods, workers",
+    [(3, ["fork", "spawn"], 3), (16, ["fork", "spawn"], 8), (1, ["fork", "spawn"], None), (3, ["spawn"], None)],
+)
+def test_worker_count_is_capped_by_jobs_population_and_cpus(monkeypatch, cpus, methods, workers):
+    started = []
+
+    def recorder(max_workers, **kwargs):  # starts no process
+        started.append(max_workers)
+        raise PoolStarted
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorder)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    monkeypatch.setattr(optimize, "usable_cpus", lambda: cpus)
+    cfg = CmaConfig(max_evals=16, seed=0)  # population 8 over four dimensions
+    if workers is None:
+        assert cmaes_maximize(lambda x: -sphere(x), box(4), cfg, jobs=10000).workers == 1
+    else:
+        with pytest.raises(PoolStarted):
+            cmaes_maximize(lambda x: -sphere(x), box(4), cfg, jobs=10000)
+    assert started == ([] if workers is None else [workers])
 
 
 def test_sphere_trajectory_matches_recorded_result():
