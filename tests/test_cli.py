@@ -204,7 +204,7 @@ def test_map_jobs_draws_items_only_as_results_are_taken(monkeypatch):
     ahead = []
 
     def square(i):
-        ahead.append(len(drawn) - i)  # items drawn beyond this one
+        ahead.append(len(drawn) - i)  # items drawn from this one on
         return i * i
 
     assert cli._map_jobs(square, items(), 2) == [i * i for i in range(20)]
