@@ -212,6 +212,7 @@ def cmd_noise(args) -> None:
             noisy = poisson_sample(img, args.seed)
         else:
             noisy = add_awgn(img, NoiseSpec(args.sigma, args.seed))
+    with stage(timings, "write"):
         formats.write_image(out, noisy)
     _write_manifest(args, [out], master_seed=args.seed, timings=timings)
 
@@ -220,7 +221,9 @@ def cmd_demosaic(args) -> None:
     cfa = _cfa_input(args.input)
     out = Path(args.out)
     with stage({}, "dm") as timings:
-        formats.write_image(out, demosaic(cfa, args.method))
+        rgb = demosaic(cfa, args.method)
+    with stage(timings, "write"):
+        formats.write_image(out, rgb)
     _write_manifest(args, [out], timings=timings)
 
 
@@ -232,9 +235,11 @@ def cmd_denoise(args) -> None:
     if not args.cfa and not isinstance(img, ColorImage):
         raise DomainError(f"{args.input}: denoise needs a color image (or --cfa)")
     out = Path(args.out)
+    denoise = denoise_cfa if args.cfa else denoise_rgb
     with stage({}, "dn") as timings:
-        denoise = denoise_cfa if args.cfa else denoise_rgb
-        formats.write_image(out, denoise(img, args.method, cfg))
+        clean = denoise(img, args.method, cfg)
+    with stage(timings, "write"):
+        formats.write_image(out, clean)
     _write_manifest(args, [out], timings=timings)
 
 
@@ -316,8 +321,11 @@ def cmd_tune(args) -> None:
     trace_path = out_dir / "trace.csv"
     _write_csv(
         trace_path,
-        ["generation", "best_cpsnr", "mean_cpsnr"],
-        ([gen, f"{best:.6f}", f"{mean:.6f}"] for gen, (best, mean) in enumerate(result.trace)),
+        ["generation", "best_cpsnr", "mean_cpsnr", "step_size", "condition", "evaluations"],
+        (
+            [gen, f"{best:.6f}", f"{mean:.6f}", f"{step:.6g}", f"{cond:.6g}", evals]
+            for gen, ((best, mean), (step, cond, evals)) in enumerate(zip(result.trace, result.search))
+        ),
     )
     _write_manifest(
         args,

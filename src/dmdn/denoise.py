@@ -60,6 +60,30 @@ _BASIS = _dct_matrix(BLOCK)
 _BASIS_T = np.ascontiguousarray(_BASIS.T)
 
 
+def _bands(a: np.ndarray) -> np.ndarray:
+    """The (n, BLOCK, width) view of the BLOCK-row bands of a that start every STEP rows.
+
+    Each band is a strided 2-D matrix BLAS reads in place, so a matmul with
+    the basis transforms all blocks of a band down its columns at once.
+    """
+    return sliding_window_view(a, BLOCK, axis=0)[::STEP].transpose(0, 2, 1)
+
+
+def _overlap_add(est: np.ndarray) -> np.ndarray:
+    """Sum the (n, BLOCK, ...) estimates of bands that start every STEP rows.
+
+    Band k covers STEP-row tiles k and k + 1, so the sum is two slab adds
+    on the leading axis; the result has (n + 1) * STEP rows.
+    """
+    n = est.shape[0]
+    halves = est.reshape(n, 2, STEP, -1)
+    acc = np.empty((n + 1, STEP, halves.shape[-1]))
+    acc[:n] = halves[:, 0]
+    acc[n] = 0.0
+    acc[1:] += halves[:, 1]
+    return acc.reshape((n + 1) * STEP, -1)
+
+
 def _dct8_channel(x: np.ndarray, sigma: float) -> np.ndarray:
     h, w = x.shape
     pad = BLOCK - STEP
@@ -67,33 +91,32 @@ def _dct8_channel(x: np.ndarray, sigma: float) -> np.ndarray:
     extra_r = (-h) % STEP
     extra_c = (-w) % STEP
     xp = np.pad(x, ((pad, pad + extra_r), (pad, pad + extra_c)), mode="reflect")
-    blocks = sliding_window_view(xp, (BLOCK, BLOCK))[::STEP, ::STEP]
-    rows, cols = blocks.shape[:2]
-    padded_shape = xp.shape
 
-    # Two (8, 8, rows * cols) buffers, block index innermost, carry the
-    # transform, the threshold and the inverse, so each 1-D DCT pass over all
-    # blocks is one matmul.  The padded image and the spent buffer are
-    # released early to keep the peak memory low.
-    coeff = np.ascontiguousarray(blocks.transpose(2, 3, 0, 1)).reshape(BLOCK, BLOCK, -1)
-    del xp, blocks
-    tmp = np.matmul(_BASIS, coeff.reshape(BLOCK, -1)).reshape(coeff.shape)  # down columns
-    np.matmul(_BASIS, tmp, out=coeff)  # along rows
-    np.abs(coeff, out=tmp)
-    tmp[0, 0] = np.inf  # DC always survives
+    # Forward: the column pass is one matmul of the basis with the row bands
+    # of the padded image, (rows, 8[k1], width); one transpose turns its
+    # columns into rows, and the row pass runs on the bands of that.  Block
+    # (r, c)'s coefficients land at coeff[c, k2, r * 8 + k1], contracted over
+    # i and then j, the order of B @ X @ B.T in one block at a time: the
+    # coefficients, and so every threshold decision, are bit-identical to a
+    # per-block transform's.
+    rows = (xp.shape[0] - BLOCK) // STEP + 1
+    part = np.matmul(_BASIS, _bands(xp)).reshape(rows * BLOCK, -1).T.copy()
+    del xp
+    coeff = np.matmul(_BASIS, _bands(part))
+    del part
+    tmp = np.abs(coeff)
+    tmp.reshape(-1, BLOCK, rows, BLOCK)[:, 0, :, 0] = np.inf  # DC always survives
     coeff *= tmp >= THRESHOLD_GAIN * sigma
-    np.matmul(_BASIS_T, coeff, out=tmp)
-    np.matmul(_BASIS_T, tmp.reshape(BLOCK, -1), out=coeff.reshape(BLOCK, -1))
-    del tmp
 
-    # Block (r, c) covers the STEP x STEP tiles (r + a, c + b) for a, b in
-    # {0, 1}: the overlap-add is four shifted adds of quadrant arrays.
-    quads = coeff.reshape(2, STEP, 2, STEP, rows, cols)
-    tiles = np.zeros((STEP, STEP, rows + 1, cols + 1))
-    for a in range(2):
-        for b in range(2):
-            tiles[:, :, a : a + rows, b : b + cols] += quads[a, :, b]
-    acc = tiles.transpose(2, 0, 3, 1).reshape(padded_shape)
+    # Inverse, one axis at a time: contract k2 and overlap-add the column
+    # bands, transpose back, then contract k1 and overlap-add the row bands.
+    # A pixel's four block estimates are summed per axis, so outputs match a
+    # block-by-block inverse up to rounding (~1e-13).
+    np.matmul(_BASIS_T, coeff, out=tmp)
+    del coeff
+    part = _overlap_add(tmp).T.copy().reshape(rows, BLOCK, -1)
+    del tmp
+    acc = _overlap_add(np.matmul(_BASIS_T, part))
     # Past the padding every pixel lies in exactly four blocks.
     return acc[pad : pad + h, pad : pad + w] / 4
 

@@ -74,6 +74,9 @@ class TuneResult:
     termination: str  # "max_evals" or "stagnation"
     evaluations: int = 0
     workers: int = 1  # processes that scored the candidates; 1 means in-process
+    # Per generation: (step size, condition number of C, evaluations so far),
+    # the step size and covariance its candidates were drawn with.
+    search: list[tuple[float, float, int]] = field(default_factory=list)
     generations: int = field(init=False)
 
     def __post_init__(self):
@@ -175,6 +178,7 @@ def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig, jobs: int = 1) 
     best_value = -math.inf
     best_params = bounds.lower + mean * span
     trace: list[tuple[float, float]] = []
+    search: list[tuple[float, float, int]] = []
     evaluations = 0
     termination = "max_evals"
 
@@ -190,6 +194,7 @@ def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig, jobs: int = 1) 
 
             scores = np.array(score(list(bounds.lower + candidates * span)), dtype=np.float64)
             evaluations += lam
+            search.append((sigma, float(scales.max() / scales.min()) ** 2, evaluations))
 
             nan_mask = np.isnan(scores)
             if nan_mask.all():
@@ -241,6 +246,7 @@ def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig, jobs: int = 1) 
         termination=termination,
         evaluations=evaluations,
         workers=workers,
+        search=search,
     )
 
 

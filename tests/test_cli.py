@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,31 @@ def test_pipeline_run_records_cpsnr_and_timings(tmp_path, dataset_dir):
     manifest = json.loads((tmp_path / "restored.manifest.json").read_text())
     assert manifest["aggregate_metrics"]["cpsnr"] > 20.0
     assert set(manifest["timings"]) == {"dn1", "dm", "dn2"}
+
+
+def test_single_stage_commands_time_the_write_apart(tmp_path, monkeypatch):
+    src = tmp_path / "img.ppm"
+    formats.write_image(src, make_natural(5, size=32))
+    cfa = tmp_path / "v.pfm"
+    assert run("mosaic", "--input", src, "--out", cfa) == 0
+    write_image = formats.write_image
+
+    def slow_write(path, img):
+        time.sleep(0.05)
+        write_image(path, img)
+
+    monkeypatch.setattr(formats, "write_image", slow_write)
+    for argv, name in (
+        (("noise", "--input", cfa, "--sigma", 10), "noise"),
+        (("demosaic", "--input", cfa), "dm"),
+        (("denoise", "--input", cfa, "--method", "dct8", "--sigma", 10, "--cfa"), "dn"),
+        (("denoise", "--input", src, "--method", "dct8", "--sigma", 10), "dn"),
+    ):
+        out = tmp_path / f"{argv[0]}.pfm"
+        assert run(*argv, "--out", out) == 0
+        timings = json.loads(out.with_name(f"{argv[0]}.manifest.json").read_text())["timings"]
+        assert set(timings) == {name, "write"}
+        assert timings[name] < 0.05 <= timings["write"]
 
 
 def test_eval_csv_shape_and_bitexact_rerun(tmp_path, dataset_dir):
@@ -304,8 +330,11 @@ def test_tune_outputs(tmp_path):
     assert result["termination"] in ("max_evals", "stagnation")
     with (out_dir / "trace.csv").open() as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["generation", "best_cpsnr", "mean_cpsnr"]
+    assert rows[0] == ["generation", "best_cpsnr", "mean_cpsnr", "step_size", "condition", "evaluations"]
     assert len(rows) == 1 + result["generations"]
+    assert float(rows[1][3]) == optimize.INITIAL_STEP and float(rows[1][4]) == 1.0
+    assert all(float(r[3]) > 0.0 and float(r[4]) >= 1.0 for r in rows[1:])
+    assert int(rows[-1][5]) == result["evaluations"]
     bests = [float(r[1]) for r in rows[1:]]
     assert all(x <= y for x, y in zip(bests, bests[1:]))
     # Reusing DM results does not move the trajectory by a bit.

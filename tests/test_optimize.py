@@ -149,6 +149,19 @@ def test_best_trace_is_non_decreasing():
     assert result.best_value == max(bests)
 
 
+def test_search_telemetry_per_generation():
+    cfg = CmaConfig(max_evals=800, seed=5)
+    result = cmaes_maximize(lambda x: -sphere(x), box(5), cfg)
+    lam = cfg.resolved_population(5)
+    assert len(result.search) == result.generations
+    steps, conditions, evaluations = zip(*result.search)
+    assert evaluations == tuple(lam * (g + 1) for g in range(result.generations))
+    assert evaluations[-1] == result.evaluations
+    assert steps[0] == optimize.INITIAL_STEP and conditions[0] == 1.0
+    assert min(conditions) >= 1.0
+    assert steps[-1] < steps[0]  # converging on the sphere shrinks the step
+
+
 def test_optimum_at_box_edge():
     # 1-D quadratic with the optimum outside the box: clamped candidates
     # put the best parameter on the edge.  Grid oracle confirms the edge
