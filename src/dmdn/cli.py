@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import math
 import os
+import platform
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +26,9 @@ from dataclasses import asdict, astuple
 from itertools import chain, islice
 from pathlib import Path
 
-from . import formats
+import numpy as np
+
+from . import __version__, formats
 from .analysis import cpsnr, noise_stats, residual, rmse_table
 from .demosaic import DemosaicerId, demosaic
 from .denoise import DenoiseConfig, DenoiserId, denoise_cfa, denoise_rgb
@@ -46,6 +50,11 @@ from .pipeline import (
 
 EXIT_IO = 3
 EXIT_DOMAIN = 4
+
+# Numpy temporaries of 0.5-2 MiB (padded planes, DCT8 bands) come from the heap, not a fresh mmap each.
+MMAP_THRESHOLD = 32 << 20
+# Freed memory at the heap top stays with the process up to this much, not handed back to the kernel.
+TRIM_THRESHOLD = 256 << 20
 
 _DEMOSAIC_CHOICES = [m.value for m in DemosaicerId]
 _DENOISE_CHOICES = [m.value for m in DenoiserId]
@@ -111,6 +120,38 @@ def _map_jobs(fn, items, jobs: int) -> list:
         return results
 
 
+def _reuse_freed_memory() -> dict | None:
+    """Make glibc's malloc keep freed memory for this process: the thresholds set, or None.
+
+    Under glibc's default policy each large numpy temporary is a fresh mmap
+    whose pages the kernel zero-fills again; outputs do not depend on this.
+    Without glibc's `mallopt` (or if it refuses a value) nothing is set.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # Both together: either one alone switches off glibc's dynamic mmap threshold and faults more.
+    if mallopt(-3, MMAP_THRESHOLD) and mallopt(-1, TRIM_THRESHOLD):  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        return {"mmap_threshold": MMAP_THRESHOLD, "trim_threshold": TRIM_THRESHOLD}
+    return None
+
+
+def _environment(args) -> dict:
+    """What a manifest's timings depend on besides the command: versions, machine, allocator."""
+    return {
+        "dmdn": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        # platform.platform()'s leading fields: it would start `uname -p` for the processor.
+        "platform": "-".join((platform.system(), platform.release(), platform.machine())),
+        "usable_cpus": usable_cpus(),
+        "malloc": getattr(args, "_malloc", None),
+    }
+
+
 def _children_cpu_s() -> float:
     """CPU seconds of this process's ended children, such as tune's workers."""
     times = os.times()
@@ -171,6 +212,7 @@ def _write_manifest(args, outputs: list[Path], **extra) -> None:
         "subcommand": args.command if args.command != "pipeline" else f"pipeline {args.pipeline_command}",
         "config": config,
         "outputs": [str(o) for o in outputs],
+        "env": _environment(args),
         **extra,
     }
     _write_json(outputs[0].with_name(outputs[0].stem + ".manifest.json"), payload)
@@ -336,6 +378,11 @@ def cmd_tune(args) -> None:
         timings=timings,
         workers=result.workers,
         worker_cpu_s=worker_cpu_s,
+    )
+    print(
+        f"tune: {result.termination} after {result.evaluations} evaluations in {result.generations} "
+        f"generations, best CPSNR {result.best_value:.4f} dB, {timings['tune']:.1f} s",
+        file=sys.stderr,
     )
 
 
@@ -601,10 +648,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    malloc = _reuse_freed_memory()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = argv
+    args._malloc = malloc
     try:
         return args.func(args) or 0  # a command returns None on success
     except (OSError, formats.ImageFormatError, DomainError) as exc:

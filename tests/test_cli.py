@@ -1,13 +1,18 @@
 import csv
+import ctypes
 import json
 import multiprocessing
+import platform
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dmdn
 from dmdn import analysis, cli, formats, optimize, pipeline
 from dmdn.cli import build_parser, main
 from dmdn.image import ColorImage, GrayImage
@@ -317,7 +322,7 @@ def test_stats_csv_layout(tmp_path, dataset_dir):
     assert float(y_corr[2]) == pytest.approx(1.0)
 
 
-def test_tune_outputs(tmp_path):
+def test_tune_outputs(tmp_path, capsys):
     d = tmp_path / "data"
     d.mkdir()
     for i in range(2):
@@ -326,6 +331,15 @@ def test_tune_outputs(tmp_path):
     args = ("tune", "--dataset", d, "--sigma", 10, "--max-evals", 64, "--seed", 3, "--out")
     assert run(*args, out_dir) == 0
     result = json.loads((out_dir / "tune_result.json").read_text())
+    # One summary line on stderr: how the search stopped, what it cost and found.
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    summary = (
+        f"tune: {result['termination']} after {result['evaluations']} evaluations in "
+        f"{result['generations']} generations, best CPSNR {result['best_cpsnr']:.4f} dB, "
+    )
+    assert err.startswith(summary) and err.endswith(" s\n")
+    float(err[len(summary):-3])  # the wall seconds
     assert set(result["best_params"]) == {"alpha", "beta", "sigma1", "sigma2"}
     assert result["termination"] in ("max_evals", "stagnation")
     with (out_dir / "trace.csv").open() as fh:
@@ -469,6 +483,66 @@ def test_manifests_are_strict_json(tmp_path):
         assert set(payload["aggregate_metrics"].values()) == {None}
         for scores in payload["per_image_metrics"].values():
             assert set(scores.values()) == {None}
+
+
+def test_manifest_records_environment(tmp_path, dataset_dir):
+    out = tmp_path / "v.pfm"
+    assert run("mosaic", "--input", dataset_dir / "img0.ppm", "--out", out) == 0
+    env = json.loads((tmp_path / "v.manifest.json").read_text())["env"]
+    assert env == {
+        "dmdn": dmdn.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "platform": "-".join((platform.system(), platform.release(), platform.machine())),
+        "usable_cpus": optimize.usable_cpus(),
+        "malloc": cli._reuse_freed_memory(),  # the same thresholds again, or None without mallopt
+    }
+    if env["malloc"] is not None:
+        assert env["malloc"] == {"mmap_threshold": cli.MMAP_THRESHOLD, "trim_threshold": cli.TRIM_THRESHOLD}
+
+
+def _has_mallinfo2() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallinfo2")
+    except (OSError, TypeError):
+        return False
+
+
+# Prints how many mmapped bytes a new 2 MiB array adds, after `import dmdn.cli`
+# and, with the argument "main", one run of the command.
+_MMAPPED_BYTES_OF_NEW_ARRAY = """
+import ctypes, sys
+import numpy as np
+import dmdn.cli
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+if sys.argv[1:] == ["main"]:
+    dmdn.cli.main(["pipeline", "preset", "--name", "dmdn", "--sigma", "5"])
+before = mallinfo2().hblkhd
+array = np.ones(2 << 20, dtype=np.uint8)
+print(mallinfo2().hblkhd - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallinfo2(), reason="needs glibc's mallinfo2")
+def test_command_process_keeps_freed_memory_on_the_heap():
+    src = str(Path(cli.__file__).resolve().parents[1])
+
+    def mmapped_bytes(*argv):
+        result = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + _MMAPPED_BYTES_OF_NEW_ARRAY, *argv],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        return int(result.stdout.split()[-1])
+
+    assert mmapped_bytes("main") == 0  # the command's process: a heap block
+    assert mmapped_bytes() >= 2 << 20  # import alone leaves glibc's default: an mmap
 
 
 def test_rerun_requires_recorded_command(tmp_path):
