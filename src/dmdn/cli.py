@@ -20,10 +20,7 @@ import math
 import os
 import platform
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple
-from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +32,7 @@ from .denoise import DenoiseConfig, DenoiserId, denoise_cfa, denoise_rgb
 from .image import ColorImage, DomainError, GrayImage
 from .mosaic import PHASES, CfaImage, mosaick
 from .noise import NoiseSpec, add_awgn, derive_seed, noisy_mosaics, poisson_sample
-from .optimize import CmaConfig, tune_pipeline, usable_cpus
+from .optimize import CmaConfig, ordered_map, tune_pipeline, usable_cpus
 from .pipeline import (
     PARAMETERS,
     PRESET_NAMES,
@@ -98,28 +95,6 @@ def _read_color(path) -> ColorImage:
     return img
 
 
-def _map_jobs(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items] on at most min(jobs, len(items), usable CPUs) threads.
-
-    Items are drawn only as results are taken, so at most two per thread
-    are held at once, not all of a generator's items (noisy captures, say).
-    """
-    items = iter(items)
-    threads = min(jobs, usable_cpus())
-    head = list(islice(items, 2 * threads))
-    threads = min(threads, len(head))
-    if threads <= 1:
-        return [fn(item) for item in chain(head, items)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque(pool.submit(fn, item) for item in head)
-        del head  # hold no reference: each item is freed once its task has run
-        results = []
-        while pending:
-            results.append(pending.popleft().result())
-            pending.extend(pool.submit(fn, item) for item in islice(items, 1))  # the next item, if any
-        return results
-
-
 def _reuse_freed_memory() -> dict | None:
     """Make glibc's malloc keep freed memory for this process: the thresholds set, or None.
 
@@ -153,7 +128,7 @@ def _environment(args) -> dict:
 
 
 def _children_cpu_s() -> float:
-    """CPU seconds of this process's ended children, such as tune's workers."""
+    """CPU seconds of this process's ended children, such as an ordered map's workers."""
     times = os.times()
     return times.children_user + times.children_system
 
@@ -316,9 +291,10 @@ def cmd_pipeline_sweep_k(args) -> None:
         index, _, noisy = task
         return sweep_k(noisy, dataset[index][1], args.dm, args.dn, args.sigma, args.k_list)
 
-    with stage({}, "sweep") as timings:
-        captures = noisy_mosaics([img for _, img in dataset], [args.sigma], args.seed, args.phase)
-        per_image = _map_jobs(one, captures, args.jobs)
+    worker_cpu_s = -_children_cpu_s()
+    with stage({}, "sweep") as timings, ordered_map(one, args.jobs, len(dataset)) as (workers, run):
+        per_image = run(noisy_mosaics([img for _, img in dataset], [args.sigma], args.seed, args.phase))
+    worker_cpu_s += _children_cpu_s()
     means = [
         math.fsum(rows[i][1] for rows in per_image) / len(per_image)
         for i in range(len(args.k_list))
@@ -335,6 +311,8 @@ def cmd_pipeline_sweep_k(args) -> None:
         },
         aggregate_metrics={f"mean_cpsnr_k{k:g}": m for k, m in zip(args.k_list, means)},
         timings=timings,
+        workers=workers,
+        worker_cpu_s=worker_cpu_s,
     )
 
 
@@ -456,9 +434,11 @@ def cmd_eval(args) -> None:
             )
         return name, scores, timings
 
-    with stage({}, "total") as timings:
-        captures = noisy_mosaics([img for _, img in dataset], args.sigmas, args.seed, args.phase)
-        results = _map_jobs(run_one, captures, args.jobs)
+    tasks = len(dataset) * len(args.sigmas)
+    worker_cpu_s = -_children_cpu_s()
+    with stage({}, "total") as timings, ordered_map(run_one, args.jobs, tasks) as (workers, run):
+        results = run(noisy_mosaics([img for _, img in dataset], args.sigmas, args.seed, args.phase))
+    worker_cpu_s += _children_cpu_s()
 
     per_image: dict = {name: {} for name, _ in dataset}
     for name, scores, task_timings in results:
@@ -484,6 +464,8 @@ def cmd_eval(args) -> None:
         per_image_metrics=per_image,
         aggregate_metrics=aggregate,
         timings=timings,
+        workers=workers,
+        worker_cpu_s=worker_cpu_s,
     )
 
 
@@ -540,6 +522,13 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    """Parse a seed in [0, 2**64): the noise streams would alias any other integer to one of these."""
+    if not text.isdigit() or int(text) >= 1 << 64:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
     """Parse an integer >= 1, such as a worker count."""
     if not text.isdigit() or int(text) < 1:
@@ -552,16 +541,17 @@ _SHARED_FLAGS = {
     "input": {"required": True},
     "dataset": {"required": True},
     "phase": {"default": "RGGB", "choices": PHASES},
-    "seed": {"type": int, "default": 0},
-    "jobs": {"type": _positive_int, "default": 1},
+    "seed": {"type": _seed, "default": 0},
+    "jobs": {"type": _positive_int, "default": 1,
+             "help": "worker processes, at most one per task and usable CPU; the result does not depend on it"},
     "out": {"required": True},
 }
 
 
-def _command(sub, name: str, func, help: str, *shared: str, **flag_help: str) -> argparse.ArgumentParser:
+def _command(sub, name: str, func, help: str, *shared: str) -> argparse.ArgumentParser:
     parser = sub.add_parser(name, help=help)
     for flag in shared:
-        parser.add_argument(f"--{flag}", help=flag_help.get(flag), **_SHARED_FLAGS[flag])
+        parser.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
     parser.set_defaults(func=func)
     return parser
 
@@ -616,9 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", type=_float_list, default="1.0,1.1,1.2,1.3,1.4,1.5,1.6,1.7,1.8,1.9")
 
     p = _command(sub, "tune", cmd_tune, "CMA-ES search for pipeline parameters",
-                 "dataset", "phase", "seed", "jobs", "out",
-                 jobs="worker processes that score each CMA-ES generation's candidates "
-                      "(at most the population and the usable CPUs); the result does not depend on it")
+                 "dataset", "phase", "seed", "jobs", "out")
     p.add_argument("--sigma", type=float, required=True)
     _add_component_flags(p)
     p.add_argument("--max-evals", type=int, default=3000)

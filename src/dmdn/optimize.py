@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -100,30 +101,24 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-# The objective of a pool's worker process, set once by its initializer.
-_worker_objective = None
-
-
-def _init_worker(objective) -> None:
-    global _worker_objective
-    _worker_objective = objective
-
-
-def _score(x: np.ndarray) -> float:
-    return _worker_objective(x)
+def _apply(item):
+    """A pool worker's task: its map's fn, which the worker's initializer set, on one item."""
+    return _apply.fn(item)
 
 
 @contextmanager
-def _scoring(objective, jobs: int, population: int):
-    """Yield (workers, score), where score(xs) is [objective(x) for x in xs] in order.
+def ordered_map(fn, jobs: int, limit: int):
+    """Yield (workers, run), where run(items) is [fn(item) for item in items] in order.
 
-    Up to min(jobs, population, usable CPUs) forked worker processes share
-    the map, one pool for the whole context.  Fork, not spawn, lets the
-    workers inherit the objective (a closure, which cannot be pickled) and
-    whatever it holds; only candidates and scores are pickled.  Without
-    fork, or with one worker, the map runs in-process.
+    Up to min(jobs, limit, usable CPUs) forked worker processes share the
+    map, one pool for the whole context.  Fork, not spawn, lets the workers
+    inherit fn (a closure, which cannot be pickled) and whatever it holds;
+    only items and results are pickled.  Items are drawn only as results are
+    taken, at most two per worker ahead, so a generator's items (noisy
+    captures, say) are never all held at once.  Without fork, or with one
+    worker, the map runs in-process.
     """
-    workers = min(jobs, population, usable_cpus())
+    workers = min(jobs, limit, usable_cpus())
     if workers > 1:
         import multiprocessing  # lazily: the import costs ~14 ms of every CLI start
         from concurrent.futures import ProcessPoolExecutor
@@ -131,16 +126,25 @@ def _scoring(objective, jobs: int, population: int):
         if "fork" in multiprocessing.get_all_start_methods():
             # The executor, not multiprocessing.Pool: a killed worker raises
             # BrokenProcessPool instead of hanging the map.  Leaving the block
-            # shuts the pool down and joins every worker, also when a score raised.
+            # shuts the pool down and joins every worker, also when fn raised.
             with ProcessPoolExecutor(
                 workers,
                 mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=(objective,),
+                initializer=setattr,
+                initargs=(_apply, "fn", fn),
             ) as pool:
-                yield workers, lambda xs: list(pool.map(_score, xs))
+
+                def run(items):
+                    pending, results = deque(), []
+                    for item in items:
+                        pending.append(pool.submit(_apply, item))
+                        if len(pending) == 2 * workers:
+                            results.append(pending.popleft().result())
+                    return results + [future.result() for future in pending]
+
+                yield workers, run
             return
-    yield 1, lambda xs: [objective(x) for x in xs]
+    yield 1, lambda items: [fn(item) for item in items]
 
 
 def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig, jobs: int = 1) -> TuneResult:
@@ -182,7 +186,7 @@ def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig, jobs: int = 1) 
     evaluations = 0
     termination = "max_evals"
 
-    with _scoring(objective, jobs, lam) as (workers, score):
+    with ordered_map(objective, jobs, lam) as (workers, score):
         # Stop before any generation that would exceed the evaluation budget.
         while evaluations + lam <= cfg.max_evals:
             eigvals, eigvecs = np.linalg.eigh(cov)

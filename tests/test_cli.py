@@ -186,8 +186,7 @@ def test_rerun_absolutizes_only_path_flags():
 
 
 def test_eval_jobs_parallel_matches_serial(tmp_path, dataset_dir, monkeypatch):
-    for module in (cli, optimize):  # two workers even on a one-CPU host
-        monkeypatch.setattr(module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)  # two workers even on a one-CPU host
     for argv, out_name, files in (
         (("eval", "--sigmas", "10,20"), "eval", ["eval/eval.csv"]),
         (("pipeline", "sweep-k", "--sigma", 20, "--k-list", "1,1.5"), "sweep.csv", ["sweep.csv"]),
@@ -200,46 +199,12 @@ def test_eval_jobs_parallel_matches_serial(tmp_path, dataset_dir, monkeypatch):
             assert multiprocessing.active_children() == []
             first = root / files[0]
             manifest = json.loads(first.with_name(first.stem + ".manifest.json").read_text())
-            assert manifest.get("workers", jobs) == jobs  # only tune records its workers
+            assert manifest["workers"] == jobs
+            assert manifest["worker_cpu_s"] >= 0.0
             outputs.append(
                 ([(root / f).read_bytes() for f in files], manifest.get("per_image_metrics"), manifest["aggregate_metrics"])
             )
         assert outputs[0] == outputs[1]
-
-
-@pytest.mark.parametrize("cpus, jobs, workers", [(3, 10000, 3), (8, 10000, 4), (8, 2, 2), (1, 4, None)])
-def test_map_jobs_starts_at_most_one_thread_per_item_and_cpu(tmp_path, dataset_dir, monkeypatch, cpus, jobs, workers):
-    started = []
-
-    class Recorder(cli.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
-    # 2 images x 2 sigmas: four items
-    assert run("eval", "--dataset", dataset_dir, "--sigmas", "5,20", "--jobs", jobs, "--out", tmp_path / "e") == 0
-    assert started == ([] if workers is None else [workers])
-
-
-def test_map_jobs_draws_items_only_as_results_are_taken(monkeypatch):
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
-    drawn = []
-
-    def items():
-        for i in range(20):
-            drawn.append(i)
-            yield i
-
-    ahead = []
-
-    def square(i):
-        ahead.append(len(drawn) - i)  # items drawn from this one on
-        return i * i
-
-    assert cli._map_jobs(square, items(), 2) == [i * i for i in range(20)]
-    assert max(ahead) <= 4  # two per thread
 
 
 @pytest.mark.parametrize(
@@ -434,6 +399,8 @@ def test_exit_codes(tmp_path, capsys):
         ("pipeline", "sweep-k", "--dataset", tmp_path, "--sigma", 5, "--k-list", "1,x", "--out", tmp_path / "k.csv"),
         ("eval", "--dataset", tmp_path, "--jobs", 0, "--out", tmp_path / "e"),
         ("pipeline", "sweep-k", "--dataset", tmp_path, "--sigma", 5, "--jobs", -3, "--out", tmp_path / "k.csv"),
+        ("noise", "--input", img, "--sigma", 5, "--seed", 2**64, "--out", tmp_path / "n.ppm"),  # aliases seed 0
+        ("eval", "--dataset", tmp_path, "--seed", -1, "--out", tmp_path / "e"),  # aliases 2**64 - 1
         ("noise", "--input", img, "--poisson", "--sigma", 20, "--out", tmp_path / "p.ppm"),
     ):
         with pytest.raises(SystemExit) as exc:

@@ -118,18 +118,19 @@ def test_first_normal_field_peak_memory_at_512(monkeypatch):
 
 def test_import_leaves_jump_table_empty():
     # Importing the CLI (timed as set-up) must not build the jump table,
-    # nor load scipy, which only the tests use, nor multiprocessing, which
-    # only a tune with --jobs > 1 needs.
+    # nor load scipy, which only the tests use, nor multiprocessing or
+    # concurrent.futures, which only an ordered map with --jobs > 1 needs.
     src = str(Path(noise.__file__).resolve().parents[1])
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); "
         "import dmdn, dmdn.cli, dmdn.noise; print(len(dmdn.noise._JUMPS)); "
         "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
-        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')));"
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
     )
     result = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0", "[]", "[]"]
+    assert result.stdout.split() == ["0", "[]", "[]", "[]"]
 
 
 def test_package_imports_only_stdlib_and_numpy():

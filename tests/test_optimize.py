@@ -12,6 +12,7 @@ from dmdn.optimize import (
     BoxBounds,
     CmaConfig,
     cmaes_maximize,
+    ordered_map,
     tune_pipeline,
 )
 from dmdn.pipeline import PipelineParams, PipelineSpec
@@ -108,6 +109,56 @@ def test_worker_count_is_capped_by_jobs_population_and_cpus(monkeypatch, cpus, m
         with pytest.raises(PoolStarted):
             cmaes_maximize(lambda x: -sphere(x), box(4), cfg, jobs=10000)
     assert started == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize(
+    "jobs, limit, cpus, methods, workers",
+    [
+        (10000, 8, 3, ["fork", "spawn"], 3),
+        (10000, 4, 8, ["fork", "spawn"], 4),
+        (2, 8, 16, ["fork", "spawn"], 2),
+        (10000, 8, 1, ["fork", "spawn"], 1),
+        (10000, 8, 3, ["spawn"], 1),
+    ],
+    ids=["cpu-cap", "limit-cap", "jobs-cap", "one-cpu", "no-fork"],
+)
+def test_ordered_map_worker_count_is_capped_by_jobs_limit_and_cpus(monkeypatch, jobs, limit, cpus, methods, workers):
+    started = []
+
+    def recorder(max_workers, **kwargs):  # starts no process
+        started.append(max_workers)
+        raise PoolStarted
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorder)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    monkeypatch.setattr(optimize, "usable_cpus", lambda: cpus)
+    if workers == 1:  # in-process
+        with ordered_map(str, jobs, limit) as (count, run):
+            assert (count, run(range(3))) == (1, ["0", "1", "2"])
+    else:
+        with pytest.raises(PoolStarted), ordered_map(str, jobs, limit):
+            pass
+    assert started == ([] if workers == 1 else [workers])
+
+
+def test_ordered_map_draws_items_only_as_results_are_taken(monkeypatch):
+    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)
+    taken = []
+    result = concurrent.futures.Future.result
+    monkeypatch.setattr(concurrent.futures.Future, "result", lambda self: taken.append(self) or result(self))
+    ahead = []
+
+    def items():
+        for i in range(20):
+            ahead.append(i + 1 - len(taken))  # items drawn, this one included, less the results taken
+            yield i
+
+    # A lambda works: forked workers inherit it, nothing pickles it.
+    with ordered_map(lambda i: i * i, 2, 20) as (workers, run):
+        assert run(items()) == [i * i for i in range(20)]
+    assert multiprocessing.active_children() == []
+    assert workers == 2
+    assert max(ahead) == 4  # two per worker
 
 
 def test_sphere_trajectory_matches_recorded_result():
