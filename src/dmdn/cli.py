@@ -3,11 +3,11 @@
 Every file-producing subcommand writes a JSON manifest next to its outputs
 recording the exact argv, resolved configuration, seeds, per-image and
 aggregate metrics, and per-stage wall-clock timings.  `dmdn rerun
---manifest M` re-executes the recorded command; on the same machine this
-reproduces all aggregate metrics bit for bit.
+--manifest M` re-executes the recorded command in its recorded directory;
+on the same machine this reproduces all aggregate metrics bit for bit.
 
 Exit codes: 0 success, 2 argument errors, 3 I/O errors (missing or
-malformed files), 4 domain errors (invalid values).
+malformed files, a worker process that died), 4 domain errors (invalid values).
 """
 
 from __future__ import annotations
@@ -469,29 +469,13 @@ def cmd_eval(args) -> None:
     )
 
 
-# Flags whose values are file or directory paths.
-_PATH_FLAGS = ("--input", "--dataset", "--out", "--truth", "--residual", "--estimate")
-
-
-def _absolute_argv(argv: list[str], cwd: str) -> list[str]:
-    """`argv` with every path-valued flag made absolute against `cwd`.
-
-    Both `--flag value` and `--flag=value` are rewritten, as are the
-    unambiguous prefixes argparse accepts for a path flag (`--dat`).
-    """
-    out = list(argv)
-    for i, token in enumerate(argv):
-        flag, eq, value = token.partition("=")
-        if sum(f.startswith(flag) for f in _PATH_FLAGS) != 1:
-            continue
-        if eq:
-            out[i] = f"{flag}={Path(cwd, value)}"
-        elif i + 1 < len(argv):
-            out[i + 1] = str(Path(cwd, argv[i + 1]))
-    return out
-
-
 def cmd_rerun(args) -> int:
+    """Replay a manifest's argv unchanged in its recorded `cwd`, then return to the caller's.
+
+    So every relative path means what it meant when recorded.  The working
+    directory is process-wide: an in-process caller's other threads see the
+    change while a replay runs.
+    """
     try:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -507,8 +491,17 @@ def cmd_rerun(args) -> int:
         raise OSError(f"{args.manifest}: malformed manifest: command is itself a rerun")
     if cwd is not None and not isinstance(cwd, str):
         raise OSError(f"{args.manifest}: malformed manifest: cwd is not a string")
-    # Relative paths were given against the recording's working directory.
-    return main(argv if cwd is None else _absolute_argv(argv, cwd))
+    if cwd is None:
+        return main(argv)
+    caller = os.getcwd()
+    try:
+        os.chdir(cwd)
+    except OSError as exc:
+        raise OSError(f"{args.manifest}: recorded cwd {cwd}: {exc.strerror}") from None
+    try:
+        return main(argv)
+    finally:
+        os.chdir(caller)
 
 
 # -------------------------------------------------------------------- parser

@@ -116,12 +116,14 @@ def ordered_map(fn, jobs: int, limit: int):
     only items and results are pickled.  Items are drawn only as results are
     taken, at most two per worker ahead, so a generator's items (noisy
     captures, say) are never all held at once.  Without fork, or with one
-    worker, the map runs in-process.
+    worker, the map runs in-process.  A worker that dies (killed, say) ends
+    the map in an OSError.
     """
     workers = min(jobs, limit, usable_cpus())
     if workers > 1:
         import multiprocessing  # lazily: the import costs ~14 ms of every CLI start
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         if "fork" in multiprocessing.get_all_start_methods():
             # The executor, not multiprocessing.Pool: a killed worker raises
@@ -142,7 +144,10 @@ def ordered_map(fn, jobs: int, limit: int):
                             results.append(pending.popleft().result())
                     return results + [future.result() for future in pending]
 
-                yield workers, run
+                try:
+                    yield workers, run
+                except BrokenProcessPool:
+                    raise OSError("a worker process ended abruptly: killed when out of memory, say") from None
             return
     yield 1, lambda items: [fn(item) for item in items]
 

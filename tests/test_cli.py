@@ -2,6 +2,7 @@ import csv
 import ctypes
 import json
 import multiprocessing
+import os
 import platform
 import shlex
 import subprocess
@@ -14,10 +15,12 @@ import pytest
 
 import dmdn
 from dmdn import analysis, cli, formats, optimize, pipeline
+from dmdn.analysis import cpsnr
 from dmdn.cli import build_parser, main
 from dmdn.image import ColorImage, GrayImage
-from dmdn.noise import RngStream
-from dmdn.pipeline import StageCache
+from dmdn.mosaic import mosaick
+from dmdn.noise import NoiseSpec, RngStream, add_awgn
+from dmdn.pipeline import PipelineSpec, StageCache, preset, run_pipeline
 
 from conftest import make_natural
 
@@ -172,17 +175,61 @@ def test_rerun_from_another_directory_rewrites_original_outputs(tmp_path, datase
     assert before["per_image_metrics"] == after["per_image_metrics"]
 
 
-def test_rerun_absolutizes_only_path_flags():
-    from dmdn.cli import _absolute_argv
+def test_rerun_replays_the_recorded_argv_in_the_recorded_directory(tmp_path, monkeypatch):
+    recorded, caller, elsewhere = (tmp_path / name for name in ("recorded", "caller", "elsewhere"))
+    for d in (recorded, caller, elsewhere):
+        d.mkdir()
+    truth = make_natural(3, size=32)
+    formats.write_image(elsewhere / "truth.ppm", truth)  # the absolute path
+    formats.write_image(recorded / "v.pfm", mosaick(truth, "RGGB"))
+    monkeypatch.chdir(recorded)
+    # `--in` and `--tr` are prefixes argparse resolves; `--out=` is the `=` form
+    argv = ["pipeline", "run", "--in", "v.pfm", "--tr", str(elsewhere / "truth.ppm"), "--out=r.ppm",
+            "--alpha", "0.5", "--beta", "1", "--sigma1", "5", "--sigma2", "5", "--dn1", "dct8"]
+    assert main(argv) == 0
+    before = json.loads((recorded / "r.manifest.json").read_text())
+    assert before["command"] == argv and before["cwd"] == str(recorded)
+    restored = (recorded / "r.ppm").read_bytes()
+    (elsewhere / "m.json").write_text(json.dumps(before))
+    for name in ("r.ppm", "r.manifest.json"):
+        (recorded / name).unlink()
 
-    argv = [
-        "pipeline", "run", "--input", "v.pfm", "--truth=t.ppm", "--out", "/abs/r.ppm",
-        "--sigma1", "5", "--dn1", "dct8", "--tr", "u.ppm",
-    ]
-    assert _absolute_argv(argv, "/rec") == [
-        "pipeline", "run", "--input", "/rec/v.pfm", "--truth=/rec/t.ppm", "--out", "/abs/r.ppm",
-        "--sigma1", "5", "--dn1", "dct8", "--tr", "/rec/u.ppm",
-    ]
+    monkeypatch.chdir(caller)
+    assert run("rerun", "--manifest", elsewhere / "m.json") == 0
+    assert Path.cwd() == caller
+    assert list(caller.iterdir()) == []
+    assert sorted(p.name for p in elsewhere.iterdir()) == ["m.json", "truth.ppm"]
+    assert (recorded / "r.ppm").read_bytes() == restored
+    after = json.loads((recorded / "r.manifest.json").read_text())
+    assert (after["command"], after["cwd"]) == (before["command"], before["cwd"])
+    assert after["aggregate_metrics"] == before["aggregate_metrics"]
+
+    for command, code in (
+        (["demosaic", "--input", "v.pfm", "--bogus"], 2),
+        (["demosaic", "--input", "missing.pfm", "--out", "u.ppm"], 3),
+        (["demosaic", "--input", str(elsewhere / "truth.ppm"), "--out", "u.ppm"], 4),  # not a CFA
+    ):
+        manifest = elsewhere / f"exit{code}.json"
+        manifest.write_text(json.dumps({"command": command, "cwd": str(recorded)}))
+        if code == 2:
+            with pytest.raises(SystemExit, match="2"):
+                run("rerun", "--manifest", manifest)
+        else:
+            assert run("rerun", "--manifest", manifest) == code
+        assert Path.cwd() == caller
+
+
+def test_rerun_in_a_missing_recorded_directory_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    formats.write_image(tmp_path / "truth.ppm", make_natural(3, size=16))
+    gone = tmp_path / "gone"
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"command": ["mosaic", "--input", "truth.ppm", "--out", "v.pfm"], "cwd": str(gone)}))
+    assert run("rerun", "--manifest", manifest) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: ") and str(gone) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "truth.ppm"]
+    assert Path.cwd() == tmp_path
 
 
 def test_eval_jobs_parallel_matches_serial(tmp_path, dataset_dir, monkeypatch):
@@ -205,6 +252,35 @@ def test_eval_jobs_parallel_matches_serial(tmp_path, dataset_dir, monkeypatch):
                 ([(root / f).read_bytes() for f in files], manifest.get("per_image_metrics"), manifest["aggregate_metrics"])
             )
         assert outputs[0] == outputs[1]
+
+
+def test_a_dead_worker_exits_3_without_a_traceback(tmp_path, dataset_dir, monkeypatch, capsys):
+    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def die(*args):
+        if os.getpid() != parent:  # only ever in a worker: in this process it would end the session
+            os._exit(1)
+        pytest.fail("sweep_k ran in the command's process")
+
+    monkeypatch.setattr(cli, "sweep_k", die)
+    out = tmp_path / "sweep.csv"
+    assert run("pipeline", "sweep-k", "--dataset", dataset_dir, "--sigma", 20, "--jobs", 2, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "worker process ended abruptly" in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+def test_recorded_seeds_are_the_seeds_used(tmp_path, dataset_dir):
+    assert run("eval", "--dataset", dataset_dir, "--sigmas", "10,20", "--seed", 9, "--phase", "GBRG",
+               "--out", tmp_path / "e") == 0
+    manifest = json.loads((tmp_path / "e" / "eval.manifest.json").read_text())
+    name = "img1.ppm"  # the second image: its seed is derived, not the master seed
+    truth = formats.read_image(dataset_dir / name)
+    noisy = add_awgn(mosaick(truth, "GBRG"), NoiseSpec(20.0, manifest["per_image_seeds"][name]))
+    restored = run_pipeline(noisy, PipelineSpec(preset("dmdn", 20.0)))
+    assert cpsnr(restored, truth) == manifest["per_image_metrics"][name]["dmdn_sigma20"]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -159,6 +160,21 @@ def test_ordered_map_draws_items_only_as_results_are_taken(monkeypatch):
     assert multiprocessing.active_children() == []
     assert workers == 2
     assert max(ahead) == 4  # two per worker
+
+
+def test_ordered_map_turns_a_dead_worker_into_an_oserror(monkeypatch):
+    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def die(i):
+        if os.getpid() != parent:  # only ever in a worker: in this process it would end the session
+            os._exit(1)
+        return i
+
+    with pytest.raises(OSError, match="worker process ended abruptly"), ordered_map(die, 2, 4) as (workers, run):
+        assert workers == 2
+        run(range(4))
+    assert multiprocessing.active_children() == []
 
 
 def test_sphere_trajectory_matches_recorded_result():
