@@ -96,11 +96,14 @@ def _read_color(path) -> ColorImage:
 
 
 def _reuse_freed_memory() -> dict | None:
-    """Make glibc's malloc keep freed memory for this process: the thresholds set, or None.
+    """Make glibc's malloc keep freed memory for this process: the thresholds in force, or None.
 
     Under glibc's default policy each large numpy temporary is a fresh mmap
     whose pages the kernel zero-fills again; outputs do not depend on this.
-    Without glibc's `mallopt` (or if it refuses a value) nothing is set.
+    Without glibc's `mallopt`, or if it refuses the mmap threshold, nothing is
+    set.  If it takes the mmap threshold and refuses the trim threshold, the
+    mmap threshold stays in force alone (glibc cannot undo it), and only it
+    is returned.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -109,9 +112,12 @@ def _reuse_freed_memory() -> dict | None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     # Both together: either one alone switches off glibc's dynamic mmap threshold and faults more.
-    if mallopt(-3, MMAP_THRESHOLD) and mallopt(-1, TRIM_THRESHOLD):  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
-        return {"mmap_threshold": MMAP_THRESHOLD, "trim_threshold": TRIM_THRESHOLD}
-    return None
+    in_force = {}
+    if mallopt(-3, MMAP_THRESHOLD):  # M_MMAP_THRESHOLD
+        in_force["mmap_threshold"] = MMAP_THRESHOLD
+        if mallopt(-1, TRIM_THRESHOLD):  # M_TRIM_THRESHOLD
+            in_force["trim_threshold"] = TRIM_THRESHOLD
+    return in_force or None
 
 
 def _environment(args) -> dict:

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .image import ColorImage, coerce_enum
+from .image import ColorImage, coerce_enum, reflect_pad
 from .mosaic import CfaImage, sites
 
 
@@ -108,7 +108,7 @@ def _fill(out: np.ndarray, raw: np.ndarray, phase: str, table: dict, channels, b
     With `base` (a full green plane) the kernels act on `raw - base` and
     their response is added back to `base`.
     """
-    padded = np.pad(raw if base is None else raw - base, 2, mode="reflect")
+    padded = reflect_pad(raw if base is None else raw - base, (2, 2), (2, 2))
     for channel in channels:
         for role, kind in _FILL[channel].items():
             if kind:
@@ -120,7 +120,7 @@ def _fill(out: np.ndarray, raw: np.ndarray, phase: str, table: dict, channels, b
 
 def _hamilton_adams_green(out: np.ndarray, raw: np.ndarray, phase: str) -> None:
     """Green at each chroma site along the smaller directional gradient."""
-    padded = np.pad(raw, 2, mode="reflect")
+    padded = reflect_pad(raw, (2, 2), (2, 2))
     for role, kind in _FILL[1].items():
         if kind:
             s = partial(_at, padded, phase, role)

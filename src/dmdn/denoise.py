@@ -14,9 +14,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
-from .image import SIGMA_RANGE, ColorImage, check_range, coerce_enum, opponent_planes, rgb_planes
+from .image import (
+    SIGMA_RANGE,
+    ColorImage,
+    check_range,
+    coerce_enum,
+    opponent_planes,
+    reflect_pad,
+    rgb_planes,
+)
 from .mosaic import CfaImage, recombine_cfa, split_cfa
 
 
@@ -64,9 +72,12 @@ def _bands(a: np.ndarray) -> np.ndarray:
     """The (n, BLOCK, width) view of the BLOCK-row bands of a that start every STEP rows.
 
     Each band is a strided 2-D matrix BLAS reads in place, so a matmul with
-    the basis transforms all blocks of a band down its columns at once.
+    the basis transforms all blocks of a band down its columns at once.  The
+    bands overlap, so the view is read-only: nothing can write through it.
     """
-    return sliding_window_view(a, BLOCK, axis=0)[::STEP].transpose(0, 2, 1)
+    s0, s1 = a.strides
+    n = (a.shape[0] - BLOCK) // STEP + 1
+    return as_strided(a, (n, BLOCK, a.shape[1]), (STEP * s0, s0, s1), writeable=False)
 
 
 def _overlap_add(est: np.ndarray) -> np.ndarray:
@@ -90,7 +101,7 @@ def _dct8_channel(x: np.ndarray, sigma: float) -> np.ndarray:
     # Extra right/bottom padding keeps the block-start grid regular for any size.
     extra_r = (-h) % STEP
     extra_c = (-w) % STEP
-    xp = np.pad(x, ((pad, pad + extra_r), (pad, pad + extra_c)), mode="reflect")
+    xp = reflect_pad(x, (pad, pad + extra_r), (pad, pad + extra_c))
 
     # Forward: the column pass is one matmul of the basis with the row bands
     # of the padded image, (rows, 8[k1], width); one transpose turns its
@@ -131,7 +142,7 @@ def _mirror_plan(n: int):
     and the other outputs with their entering and leaving samples.
     """
     r = PATCH // 2
-    idx = np.pad(np.arange(n), r, mode="reflect")
+    idx = reflect_pad(np.arange(n)[None], (0, 0), (r, r))[0]
     inner = slice(r + 1, max(n - r, r + 1))
     edge = np.r_[1 : min(inner.start, n), inner.stop : n]
     return idx[:PATCH], inner, edge, idx[edge + 2 * r], idx[edge - 1]
@@ -162,7 +173,7 @@ def _denoise_nlmeans(opp: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     # inf, whose weight exp(-inf) = 0 is the right limit.
     h2 = max(H_GAIN * cfg.sigma**2 * PATCH**2, np.finfo(np.float64).tiny)
     two_sigma2 = 2.0 * cfg.sigma**2
-    padded = np.pad(opp, ((0, 0), (half, half), (half, half)), mode="reflect")
+    padded = reflect_pad(opp, (half, half), (half, half))
     row_plan, col_plan = _mirror_plan(h), _mirror_plan(w)
 
     num = np.zeros_like(opp)

@@ -1,4 +1,4 @@
-"""Planar floating-point image containers and the RGB <-> YC1C2 opponent transform.
+"""Planar floating-point image containers, the RGB <-> YC1C2 opponent transform, reflect padding.
 
 All pixel data is stored as float64 on the nominal [0, 255] scale; values
 outside that range are legal everywhere except at 8-bit export time.
@@ -118,6 +118,30 @@ OPPONENT_MATRIX = np.array(
     ]
 )
 OPPONENT_MATRIX.flags.writeable = False
+
+
+def reflect_pad(a: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> np.ndarray:
+    """`np.pad(a, ..., mode="reflect")` of the last two axes of a by (before, after) rows and cols.
+
+    Built from slice copies: the centre, then each column strip from a
+    reversed slice of a, then each row strip from a reversed slice of the
+    padded rows, so the corners reflect along both axes.  That is one memcpy
+    per strip, where np.pad's per-call Python overhead dominates at small
+    sizes.  A width past its axis length minus one reflects more than once,
+    and is left to np.pad.
+    """
+    (top, bottom), (left, right) = rows, cols
+    h, w = a.shape[-2:]
+    if max(top, bottom) >= h or max(left, right) >= w:
+        return np.pad(a, [(0, 0)] * (a.ndim - 2) + [rows, cols], mode="reflect")
+    out = np.empty(a.shape[:-2] + (top + h + bottom, left + w + right), a.dtype)
+    mid = out[..., top : top + h, :]
+    mid[..., left : left + w] = a
+    mid[..., :left] = a[..., 1 : left + 1][..., ::-1]
+    mid[..., left + w :] = a[..., w - 1 - right : w - 1][..., ::-1]
+    out[..., :top, :] = out[..., top + 1 : 2 * top + 1, :][..., ::-1, :]
+    out[..., top + h :, :] = out[..., top + h - 1 - bottom : top + h - 1, :][..., ::-1, :]
+    return out
 
 
 def opponent_planes(planes: np.ndarray) -> np.ndarray:

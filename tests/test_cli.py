@@ -544,6 +544,39 @@ def test_manifest_records_environment(tmp_path, dataset_dir):
         assert env["malloc"] == {"mmap_threshold": cli.MMAP_THRESHOLD, "trim_threshold": cli.TRIM_THRESHOLD}
 
 
+class _FakeLibc:
+    """A `ctypes.CDLL(None)` whose `mallopt` refuses the listed parameters and records each call."""
+
+    def __init__(self, refused):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return int(param not in refused)
+
+        self.mallopt = mallopt
+
+
+@pytest.mark.parametrize(
+    "refused, in_force, calls",
+    (
+        ((-3,), None, 1),  # M_MMAP_THRESHOLD refused: nothing set, the trim threshold not tried
+        ((-1,), {"mmap_threshold": cli.MMAP_THRESHOLD}, 2),  # the mmap threshold stays in force alone
+        ((), {"mmap_threshold": cli.MMAP_THRESHOLD, "trim_threshold": cli.TRIM_THRESHOLD}, 2),
+    ),
+)
+def test_reuse_freed_memory_returns_the_thresholds_in_force(monkeypatch, refused, in_force, calls):
+    libc = _FakeLibc(refused)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    assert cli._reuse_freed_memory() == in_force
+    assert libc.calls == [(-3, cli.MMAP_THRESHOLD), (-1, cli.TRIM_THRESHOLD)][:calls]
+
+
+def test_reuse_freed_memory_without_mallopt_sets_nothing(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert cli._reuse_freed_memory() is None
+
+
 def _has_mallinfo2() -> bool:
     try:
         return hasattr(ctypes.CDLL(None), "mallinfo2")

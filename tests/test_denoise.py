@@ -18,10 +18,12 @@ from dmdn.denoise import (
     WINDOW,
     DenoiseConfig,
     DenoiserId,
+    _bands,
     _dct_matrix,
     denoise_cfa,
     denoise_rgb,
 )
+from dmdn.demosaic import DemosaicerId, demosaic
 from dmdn.image import ColorImage, DomainError, opponent_planes, rgb_planes
 from dmdn.mosaic import CfaImage, mosaick, recombine_cfa, sites, split_cfa
 from dmdn.noise import NoiseSpec, add_awgn
@@ -159,6 +161,32 @@ def test_dct8_matches_einsum_reference(shape, sigma):
 )
 def test_dct8_matches_einsum_reference_property(h, w, sigma, seed):
     _assert_dct8_matches_einsum(_noisy_ramp(seed, h, w), sigma)
+
+
+@pytest.mark.parametrize("shape", ((8, 1), (8, 8), (9, 5), (12, 13), (27, 40)))
+def test_bands_is_the_read_only_sliding_window_view(shape):
+    a = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+    for x in (a, np.asfortranarray(a), np.arange(2 * a.size, dtype=np.float64).reshape(shape[0], -1)[:, ::2]):
+        bands = _bands(x)
+        assert np.array_equal(bands, sliding_window_view(x, BLOCK, axis=0)[::STEP].transpose(0, 2, 1))
+        assert not bands.flags.writeable  # bands overlap: a write through one would reach its neighbour
+        with pytest.raises(ValueError):
+            bands[0, -1, 0] = 0.0
+
+
+def test_kernels_do_not_call_np_pad(monkeypatch):
+    # np.pad's per-call overhead dominated DCT8 and the demosaicers at 64-128 px; keep it out.
+    def no_pad(*args, **kwargs):
+        raise AssertionError("np.pad called")
+
+    img = make_natural(3, size=64)
+    cfa = mosaick(img, "RGGB")
+    monkeypatch.setattr(np, "pad", no_pad)
+    for method in DenoiserId:
+        denoise_rgb(img, method, DenoiseConfig(sigma=10.0))
+        denoise_cfa(cfa, method, DenoiseConfig(sigma=10.0))
+    for method in DemosaicerId:
+        demosaic(cfa, method)
 
 
 def test_dct8_peak_memory_at_256():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmdn.image import ColorImage, DomainError, GrayImage, opponent_planes, rgb_planes
+from dmdn.image import ColorImage, DomainError, GrayImage, opponent_planes, reflect_pad, rgb_planes
 from dmdn.noise import NoiseSpec, add_awgn
 
 
@@ -72,3 +72,19 @@ def test_transform_is_orthonormal_for_any_image(seed):
     img = rng.normal(scale=100.0, size=(3, 6, 6))
     back = rgb_planes(opponent_planes(img))
     assert np.abs(back - img).max() <= 1e-12
+
+
+def test_reflect_pad_matches_np_pad():
+    # Widths at or past an axis length minus one reflect repeatedly, and fall back to np.pad.
+    rng = np.random.default_rng(0)
+    for h in range(1, 20):
+        for w in range(1, 20):
+            planes = rng.normal(size=(3, w, h)).transpose(0, 2, 1)  # a non-contiguous (3, h, w) view
+            widths = [(0, 0, 0, 0), (1, 2, 3, 4), (10, 10, 10, 10), (h - 1, h - 1, w - 1, w - 1)]
+            widths += [(min(h, 10), 0, 0, min(w, 10)), tuple(rng.integers(0, 11, size=4))]
+            for top, bottom, left, right in widths:
+                for a in (planes, np.ascontiguousarray(planes), planes[1]):
+                    rows, cols = (top, bottom), (left, right)
+                    want = np.pad(a, [(0, 0)] * (a.ndim - 2) + [rows, cols], mode="reflect")
+                    got = reflect_pad(a, rows, cols)
+                    assert got.shape == want.shape and np.array_equal(got, want), (h, w, rows, cols, a.shape)
