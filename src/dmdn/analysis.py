@@ -38,8 +38,12 @@ def rmse(estimate: ColorImage, truth: ColorImage) -> float:
 
 def cpsnr(estimate: ColorImage, truth: ColorImage) -> float:
     """10*log10(255^2 / MSE) over all three channels; +inf when MSE is 0."""
-    err = mse(estimate, truth)
-    if err == 0.0:
+    return cpsnr_from_mse(mse(estimate, truth))
+
+
+def cpsnr_from_mse(err: float) -> float:
+    """10*log10(255^2 / err); +inf when err is 0, or below 0 from rounding."""
+    if err <= 0.0:
         return math.inf
     return 10.0 * math.log10(255.0**2 / err)
 

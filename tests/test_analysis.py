@@ -6,6 +6,7 @@ import pytest
 from dmdn.analysis import (
     amplification_factor,
     cpsnr,
+    cpsnr_from_mse,
     mse,
     noise_stats,
     residual,
@@ -40,6 +41,13 @@ def test_uniform_offset_closed_form():
     assert mse(shifted, img) == pytest.approx(256.0, abs=1e-9)
     assert cpsnr(shifted, img) == pytest.approx(10.0 * math.log10(255.0**2 / 256.0), abs=1e-12)
     assert cpsnr(shifted, img) == pytest.approx(24.0483, abs=1e-3)
+
+
+def test_cpsnr_from_mse_scores_a_non_positive_error_as_infinite():
+    assert cpsnr_from_mse(0.0) == math.inf
+    assert cpsnr_from_mse(-5.7e-14) == math.inf  # a sum of rounded moments can land below 0
+    assert cpsnr_from_mse(256.0) == 10.0 * math.log10(255.0**2 / 256.0)
+    assert math.isnan(cpsnr_from_mse(math.nan))
 
 
 def test_cpsnr_matches_brute_force_oracle():

@@ -1,24 +1,31 @@
 import concurrent.futures
+import functools
 import math
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dmdn import optimize
+from dmdn import optimize, pipeline
+from dmdn.analysis import cpsnr
 from dmdn.image import ColorImage, DomainError
+from dmdn.noise import noisy_mosaics
 from dmdn.optimize import (
     AllCandidatesInvalid,
     BoxBounds,
     CmaConfig,
     cmaes_maximize,
     ordered_map,
+    pipeline_objective,
     tune_pipeline,
 )
-from dmdn.pipeline import PipelineParams, PipelineSpec
+from dmdn.pipeline import PRESET_NAMES, PipelineParams, PipelineSpec, preset, run_pipeline
 
-from conftest import rosenbrock, sphere
+from conftest import make_natural, rosenbrock, sphere
 
 
 def box(n, lo=-5.0, hi=5.0):
@@ -304,3 +311,150 @@ def test_tune_pipeline_is_deterministic():
     b = tune_pipeline(dataset, 10.0, spec, cfg)
     assert np.array_equal(a.best_params, b.best_params)
     assert a.best_value == b.best_value and a.trace == b.trace
+
+
+# ------------------------------------------------- the tune objective's memo
+
+OBJECTIVE_SIGMA = 20.0
+OBJECTIVE_SEED = 5
+# pipeline_objective's stated bound on the gap to direct scoring.
+MOMENT_GAP_DB = 1e-12
+
+
+def oracle_points():
+    """The benchmark tune oracle's 84 points in its order: 3 presets, then a 3x3x3x3 grid."""
+    presets = (preset(name, OBJECTIVE_SIGMA) for name in PRESET_NAMES)
+    points = [(p.alpha, p.beta, p.sigma1, p.sigma2) for p in presets]
+    weights, sigmas = (0.0, 0.5, 1.0), (0.0, 20.0, 40.0)
+    return points + [(a, b, s1, s2) for a in weights for b in weights for s1 in sigmas for s2 in sigmas]
+
+
+def small_dataset(count=2, size=32):
+    return [ColorImage(make_natural(seed, size=64).planes[:, 16 : 16 + size, 16 : 16 + size]) for seed in range(count)]
+
+
+def objective_for(dn2="dct8", count=2):
+    images = small_dataset(count)
+    spec = PipelineSpec(PipelineParams(0.0, 0.0, 0.0, 0.0), dn2=dn2)
+    return pipeline_objective(images, OBJECTIVE_SIGMA, spec, noise_seed=OBJECTIVE_SEED), images, spec
+
+
+def direct_score(images, spec, x):
+    """The objective's value by definition: mean CPSNR of run_pipeline on the frozen mosaics."""
+    run_spec = replace(spec, params=PipelineParams(*x))
+    captures = noisy_mosaics(images, [OBJECTIVE_SIGMA], OBJECTIVE_SEED)
+    values = [cpsnr(run_pipeline(v, run_spec), images[i]) for i, _, v in captures]
+    return math.fsum(values) / len(values)
+
+
+@functools.lru_cache(maxsize=None)
+def shared_objective(dn2):
+    """One objective per DN2 for the whole property test, so its memo sees hits and misses."""
+    return objective_for(dn2)
+
+
+weight = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+stage_sigma = st.one_of(st.just(0.0), st.floats(0.0, 60.0))
+
+
+@settings(max_examples=60, derandomize=True)
+@given(dn2=st.sampled_from(["dct8", "nlmeans", "identity"]), a=weight, b=weight, s1=stage_sigma, s2=stage_sigma)
+@example(dn2="dct8", a=0.0, b=1.0, s1=0.0, s2=20.0)
+@example(dn2="nlmeans", a=0.5, b=0.0, s1=0.0, s2=20.0)
+@example(dn2="dct8", a=1.0, b=0.5, s1=10.0, s2=0.0)
+@example(dn2="identity", a=0.5, b=1.0, s1=20.0, s2=30.0)
+def test_moment_scoring_matches_direct_scoring(dn2, a, b, s1, s2):
+    objective, images, spec = shared_objective(dn2)
+    x = (a, b, s1, s2)
+    value, direct = objective(np.array(x)), direct_score(images, spec, x)
+    assert abs(value - direct) <= MOMENT_GAP_DB, (x, value, direct)
+    if b == 0.0:  # no DN2 term: both score mean((U - T)^2) the same way
+        assert value == direct
+
+
+@pytest.mark.parametrize("dn2", ["dct8", "nlmeans", "identity"])
+def test_moment_scoring_matches_direct_scoring_on_the_oracle_grid(dn2):
+    objective, images, spec = objective_for(dn2, count=1)
+    gaps = [abs(objective(np.array(x)) - direct_score(images, spec, x)) for x in oracle_points()]
+    assert max(gaps) <= MOMENT_GAP_DB
+
+
+def test_objective_value_does_not_depend_on_evaluation_order():
+    rng = np.random.default_rng(3)
+    points = oracle_points() + [tuple(rng.uniform([0, 0, 0, 0], [1, 1, 60, 60])) for _ in range(10)]
+    orders = [points, points[::-1], [points[i] for i in rng.permutation(len(points))]]
+    scored = []
+    for order in orders:
+        objective = objective_for()[0]  # a fresh memo for every order
+        scored.append({x: objective(np.array(x)) for x in order})
+    # Bit-identical: a memo hit scores exactly as the miss that filled it.
+    assert scored[1] == scored[0] and scored[2] == scored[0]
+
+
+def test_vst_objective_scores_directly():
+    # Bright images, so that no noisy sample falls below the Anscombe domain.
+    images = [ColorImage(100.0 + 0.5 * image.planes) for image in small_dataset()]
+    spec = PipelineSpec(PipelineParams(0.0, 0.0, 0.0, 0.0), vst=True)
+    objective = pipeline_objective(images, OBJECTIVE_SIGMA, spec, noise_seed=OBJECTIVE_SEED)
+    for x in [(0.5, 0.7, 1.0, 2.0), (0.0, 1.0, 0.0, 1.5), (1.0, 0.0, 3.0, 0.0), (0.5, 0.7, 1.0, 2.0)]:
+        assert objective(np.array(x)) == direct_score(images, spec, x)
+
+
+def test_objective_scores_a_non_positive_moment_sum_as_infinite(monkeypatch):
+    # A constant image and a DN2 that returns the truth exactly: D - U = T - U,
+    # so the blend's MSE is m (1 - beta)^2 with m = mean((U - T)^2), and
+    # rounding leaves the moment sum at 0 or just below it for beta near 1.
+    truth = 77.0
+    images = [ColorImage(np.full((3, 16, 16), truth))]
+    monkeypatch.setattr(optimize, "denoise_rgb", lambda img, method, cfg: ColorImage(np.full_like(img.planes, truth)))
+    spec = PipelineSpec(PipelineParams(0.0, 0.0, 0.0, 0.0))
+    objective = pipeline_objective(images, OBJECTIVE_SIGMA, spec, noise_seed=1)
+    (_, _, v), = noisy_mosaics(images, [OBJECTIVE_SIGMA], 1)
+    u = run_pipeline(v, spec).planes
+    m = float(np.mean((u - truth) * (u - truth)))
+    betas = [1.0 - k * 2.0**-30 for k in range(40)]
+    sums = [b * b * m + 2.0 * b * -m + m for b in betas]
+    assert min(sums) < 0.0  # the case under test occurs
+    for b, err in zip(betas, sums):
+        value = objective(np.array([0.0, b, 0.0, 20.0]))
+        assert value == math.inf if err <= 0.0 else math.isfinite(value)
+
+
+def count_dn2_calls(monkeypatch):
+    """Count the objective's DN2 calls that denoise (sigma > 0), through run_pipeline or not."""
+    calls = []
+    denoise_rgb = pipeline.denoise_rgb
+
+    def counted(img, method, cfg):
+        if cfg.sigma > 0.0:
+            calls.append(cfg.sigma)
+        return denoise_rgb(img, method, cfg)
+
+    monkeypatch.setattr(pipeline, "denoise_rgb", counted)
+    monkeypatch.setattr(optimize, "denoise_rgb", counted)
+    return calls
+
+
+def test_oracle_points_run_fifteen_dn2_per_image(monkeypatch):
+    calls = count_dn2_calls(monkeypatch)
+    objective = objective_for(count=3)[0]
+    for x in oracle_points():
+        objective(np.array(x))
+    # 7 DM keys (alpha = 0, and alpha in {0.5, 1} x sigma1 in {0, 20, 40})
+    # x sigma2 in {20, 40}, plus dm15dn's sigma2 = 30: 15 keys per image.
+    assert len(calls) == 15 * 3
+
+
+def test_criterion_8_grid_runs_dn2_once_per_memo_key(monkeypatch):
+    calls = count_dn2_calls(monkeypatch)
+    objective = objective_for(count=1)[0]
+    weights, sigmas = (0.0, 0.25, 0.5, 0.75, 1.0), [float(s) for s in range(0, 45, 5)]
+    keys = set()
+    for a in weights:  # criterion 8's loop order: beta outside sigma1 and sigma2
+        for b in weights:
+            for s1 in sigmas:
+                for s2 in sigmas:
+                    objective(np.array([a, b, s1, s2]))
+                    if b > 0.0 and s2 > 0.0:
+                        keys.add(((0.0,) if a == 0.0 else (a, s1)) + (s2,))
+    assert len(keys) == 296 and len(calls) == len(keys)
