@@ -40,7 +40,6 @@ from .optimize import (
 from .pipeline import (
     PipelineParams,
     PipelineSpec,
-    StageCache,
     generalize_by_image,
     generalize_by_sigma,
     preset,

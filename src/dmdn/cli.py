@@ -21,6 +21,7 @@ import os
 import platform
 import sys
 from dataclasses import asdict, astuple
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,9 @@ from .pipeline import (
     PRESET_NAMES,
     PipelineParams,
     PipelineSpec,
-    StageCache,
+    demosaic_stage,
+    denoise_stage,
+    dm_key,
     preset,
     run_pipeline,
     stage,
@@ -432,12 +435,12 @@ def cmd_eval(args) -> None:
         name, truth = dataset[index]
         timings: dict = {}
         scores = {}
-        cache = StageCache()  # dmdn and dm15dn share DM(v)
-        for preset_name, preset_params in params[k].items():
-            spec = _spec_from_args(args, preset_params)
-            scores[f"{preset_name}_sigma{labels[k]}"] = cpsnr(
-                run_pipeline(noisy, spec, timings=timings, cache=cache), truth
-            )
+        # Presets in a row with one DM key share one DM(v): dmdn and dm15dn.
+        for _, group in groupby(params[k].items(), key=lambda item: dm_key(item[1])):
+            specs = [(preset_name, _spec_from_args(args, p)) for preset_name, p in group]
+            u_dm = demosaic_stage(noisy, specs[0][1], timings)
+            for preset_name, spec in specs:
+                scores[f"{preset_name}_sigma{labels[k]}"] = cpsnr(denoise_stage(u_dm, spec, timings), truth)
         return name, scores, timings
 
     tasks = len(dataset) * len(args.sigmas)

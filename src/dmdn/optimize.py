@@ -22,7 +22,7 @@ from .analysis import cpsnr, cpsnr_from_mse
 from .denoise import DenoiseConfig, denoise_rgb
 from .image import ColorImage, DomainError
 from .noise import RngStream, noisy_mosaics
-from .pipeline import PARAMETERS, PipelineParams, PipelineSpec, StageCache, run_pipeline
+from .pipeline import PARAMETERS, PipelineParams, PipelineSpec, demosaic_stage, denoise_stage, dm_key
 
 
 @dataclass(frozen=True)
@@ -280,16 +280,16 @@ def pipeline_objective(
     MSE is exactly quadratic in beta.  With U the DM output, D = DN2(U) and
     T the truth, MSE(beta) = beta^2 m_DD + 2 beta m_DR + m_RR, where
     m_DD = mean((D-U)^2), m_DR = mean((D-U)(U-T)) and m_RR = mean((U-T)^2).
-    Each mosaic keeps a memo of these three floats keyed by (alpha, sigma1,
-    sigma2), under StageCache's rules: alpha = 0 ignores sigma1, sigma1 = 0
-    with alpha > 0 keeps its own key, and sigma2 = 0 or beta = 0 share one
-    key that runs no DN2.  So one DN2 serves every beta: over the
+    Each mosaic keeps a memo of these three floats keyed by `dm_key`
+    (alpha = 0 ignores sigma1, sigma1 = 0 with alpha > 0 keeps its own key)
+    plus sigma2, where sigma2 = 0 or beta = 0 share one key that runs no
+    DN2.  So one DN2 serves every beta: over the
     benchmark's 84-point oracle (3 presets and a 3x3x3x3 grid) DN2 runs 15
     times per image instead of 38.  Every point, hit or miss, is scored from
     its moments, so the value does not depend on the order of evaluation;
     a sum that rounding leaves at or below 0 scores +inf, as an MSE of 0
-    does in `cpsnr`.  Each mosaic also keeps a StageCache, so memo misses
-    that share (alpha, sigma1) share one DM result.
+    does in `cpsnr`.  Each mosaic also holds its last DM result, so memo
+    misses in a row with one `dm_key` run DN1 and DM once.
 
     Against direct scoring, cpsnr(run_pipeline(v, spec), truth), the
     moments round differently, and the sum cancels: its error is a few
@@ -299,23 +299,31 @@ def pipeline_objective(
     two ulps of a 28 dB value.  The tests assert 1e-12 dB for DN2 dct8,
     nlmeans and identity.  At beta = 0 the two agree bit for bit.
 
-    With spec.vst set, every point is scored directly: the Anscombe
-    inverse is nonlinear, so the quadratic form does not hold.
+    With spec.vst set, every point is scored directly from the held DM
+    result: the Anscombe inverse is nonlinear, so MSE is not quadratic.
 
-    Memory per mosaic: one RGB image in the StageCache, and 24 B of moments
-    per memo key, about 270 B with the dict, its tuples and floats.  A
-    3000-evaluation CMA-ES tune on three images, which misses on nearly
-    every point, holds 2996 keys per image and 2.3 MiB of memos in all.
+    Memory per mosaic: one held RGB image, dropped before the next is
+    computed, and 24 B of moments per memo key, about 270 B with the dict,
+    its tuples and floats.  A 3000-evaluation CMA-ES tune on three images,
+    which misses on nearly every point, holds 2996 keys per image and
+    2.3 MiB of memos in all.
     """
     captures = noisy_mosaics(dataset, [sigma], noise_seed, phase)
-    frozen = [(v, dataset[i], StageCache(), {}) for i, _, v in captures]
+    frozen = [(v, dataset[i], {}, {}) for i, _, v in captures]  # mosaic, truth, held DM result, memo
 
-    def moments(v, truth, cache, memo, run_spec):
+    def demosaiced(v, held, run_spec):
+        key = dm_key(run_spec.params)
+        if key not in held:
+            held.clear()  # drop the old result before computing the next: never two
+            held[key] = demosaic_stage(v, run_spec)
+        return held[key]
+
+    def moments(v, truth, held, memo, run_spec):
         p = run_spec.params
         dn2 = p.beta != 0.0 and p.sigma2 != 0.0
-        key = ((0.0,) if p.alpha == 0.0 else (p.alpha, p.sigma1)) + (p.sigma2 if dn2 else 0.0,)
+        key = dm_key(p) + (p.sigma2 if dn2 else 0.0,)
         if key not in memo:
-            dm = run_pipeline(v, replace(run_spec, params=replace(p, beta=0.0)), cache=cache)
+            dm = demosaiced(v, held, run_spec)
             r = dm.planes - truth.planes
             m_dd = m_dr = 0.0
             if dn2:
@@ -328,7 +336,9 @@ def pipeline_objective(
         params = PipelineParams(*(float(v) for v in x))
         run_spec = replace(spec, params=params)
         if spec.vst:  # the Anscombe inverse is nonlinear: MSE is not quadratic in beta
-            values = [cpsnr(run_pipeline(v, run_spec, cache=cache), u) for v, u, cache, _ in frozen]
+            values = [
+                cpsnr(denoise_stage(demosaiced(v, held, run_spec), run_spec), u) for v, u, held, _ in frozen
+            ]
         else:
             b = params.beta
             values = [
@@ -351,7 +361,7 @@ def tune_pipeline(
     """CMA-ES search for the best pipeline PARAMETERS over PIPELINE_BOUNDS.
 
     With jobs > 1 the forked workers inherit the frozen mosaics and keep
-    their own StageCaches and memos.
+    their own held DM results and memos.
     """
     cfg.resolved_population(PIPELINE_BOUNDS.dimension)  # reject the budget before drawing any noise
     objective = pipeline_objective(dataset, sigma, spec, noise_seed=cfg.seed, phase=phase)

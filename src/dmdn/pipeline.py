@@ -67,50 +67,48 @@ def stage(timings: dict | None, name: str):
         timings[name] = timings.get(name, 0.0) + clock() - t0
 
 
-class StageCache:
-    """The last demosaiced blend of one input mosaic.
+def dm_key(params: PipelineParams) -> tuple:
+    """What `demosaic_stage`'s result depends on besides the mosaic and operators.
 
-    `run_pipeline` keeps the DM stage's output, DM(alpha * DN1(v) +
-    (1 - alpha) * v), under the parameters it depends on: (alpha, sigma1),
-    or alpha = 0 alone, since the blend then feeds DM the input itself
-    (sigma1 = 0 with alpha > 0 keeps its own key: that blend equals the
-    input only up to rounding).  A call that shares them with the previous
-    one runs neither the Anscombe transform, DN1 nor DM; DN2 and the beta
-    blend always run.  A miss drops the held result before computing its
-    replacement, so the cache never holds two: its memory is one RGB image
-    of the mosaic's size.  A call with another mosaic (by identity) or other
-    DN1, DM or vst settings is a miss.  A cache is not thread-safe: give
-    each worker its own.
+    That is (alpha, sigma1), or nothing at alpha = 0, where the blend feeds DM
+    the input itself; sigma1 = 0 with alpha > 0 keeps its own key, since that
+    blend equals the input only up to rounding.
     """
-
-    def __init__(self):
-        self.source: CfaImage | None = None
-        self.binding: tuple | None = None  # (dn1, dm, vst, key) of `result`
-        self.result: ColorImage | None = None
-
-    def demosaiced(self, v: CfaImage, spec: PipelineSpec, compute) -> ColorImage:
-        """The DM result for `v` under `spec`, from `compute()` on a miss."""
-        p = spec.params
-        key = (0.0,) if p.alpha == 0.0 else (p.alpha, p.sigma1)
-        binding = (spec.dn1, spec.dm, spec.vst, key)
-        if v is not self.source or binding != self.binding:
-            self.source = self.binding = self.result = None  # evict first: never two results
-            self.result = compute()
-            self.source, self.binding = v, binding
-        return self.result
+    return (0.0,) if params.alpha == 0.0 else (params.alpha, params.sigma1)
 
 
-def _blend(weight: float, denoised, base: np.ndarray) -> np.ndarray:
-    """`weight * denoised() + (1 - weight) * base`; weight 0 prunes the stage behind `denoised`."""
-    if weight == 0.0:
-        return base
-    return weight * denoised() + (1.0 - weight) * base
+def demosaic_stage(v: CfaImage, spec: PipelineSpec, timings: dict | None = None) -> ColorImage:
+    """The first half of the blend: DM(alpha * DN1(v) + (1 - alpha) * v).
+
+    With vst set, v is Anscombe-transformed first.  Alpha = 0 prunes DN1.
+    """
+    p = spec.params
+    x = anscombe(v) if spec.vst else v
+    plane = x.plane
+    if p.alpha != 0.0:
+        with stage(timings, "dn1"):
+            denoised = denoise_cfa(x, spec.dn1, DenoiseConfig(sigma=p.sigma1)).plane
+        plane = p.alpha * denoised + (1.0 - p.alpha) * plane
+    with stage(timings, "dm"):
+        return demosaic(CfaImage(plane, x.phase), spec.dm)
 
 
-def run_pipeline(
-    v: CfaImage, spec: PipelineSpec, timings: dict | None = None, cache: StageCache | None = None
-) -> ColorImage:
-    """Evaluate the two-stage blend.
+def denoise_stage(u_dm: ColorImage, spec: PipelineSpec, timings: dict | None = None) -> ColorImage:
+    """The second half: beta * DN2(u_dm) + (1 - beta) * u_dm.
+
+    With vst set, the Anscombe inverse is applied last.  Beta = 0 prunes DN2.
+    """
+    p = spec.params
+    u_hat = u_dm
+    if p.beta != 0.0:
+        with stage(timings, "dn2"):
+            denoised = denoise_rgb(u_dm, spec.dn2, DenoiseConfig(sigma=p.sigma2)).planes
+        u_hat = ColorImage(p.beta * denoised + (1.0 - p.beta) * u_dm.planes)
+    return anscombe_inverse(u_hat) if spec.vst else u_hat
+
+
+def run_pipeline(v: CfaImage, spec: PipelineSpec, timings: dict | None = None) -> ColorImage:
+    """Evaluate the two-stage blend: `denoise_stage` of `demosaic_stage`.
 
     With vst set, the mosaic is Anscombe-transformed first, the sigma
     parameters are interpreted on the transformed scale, and the algebraic
@@ -118,31 +116,11 @@ def run_pipeline(
 
     `timings`, when given, accumulates wall-clock seconds per stage under
     the keys "dn1", "dm", "dn2".  A zero blend weight prunes its denoiser.
-
-    `cache` carries the DM result from call to call on the same mosaic (see
-    StageCache); on a hit DN1 and DM do not run and add nothing to
-    `timings`.  Results are bit-identical with or without it.
+    A caller that scores several specs with one `dm_key` on one mosaic can
+    run `demosaic_stage` once and `denoise_stage` per spec: the results are
+    bit-identical to this function's.
     """
-    p = spec.params
-    cache = StageCache() if cache is None else cache
-
-    def dn1(x: CfaImage) -> np.ndarray:
-        with stage(timings, "dn1"):
-            return denoise_cfa(x, spec.dn1, DenoiseConfig(sigma=p.sigma1)).plane
-
-    def dm() -> ColorImage:
-        x = anscombe(v) if spec.vst else v
-        v_tilde = _blend(p.alpha, lambda: dn1(x), x.plane)
-        with stage(timings, "dm"):
-            return demosaic(CfaImage(v_tilde, x.phase), spec.dm)
-
-    def dn2() -> np.ndarray:
-        with stage(timings, "dn2"):
-            return denoise_rgb(u_dm, spec.dn2, DenoiseConfig(sigma=p.sigma2)).planes
-
-    u_dm = cache.demosaiced(v, spec, dm)
-    u_hat = ColorImage(_blend(p.beta, dn2, u_dm.planes))
-    return anscombe_inverse(u_hat) if spec.vst else u_hat
+    return denoise_stage(demosaic_stage(v, spec, timings), spec, timings)
 
 
 def preset(name: str, sigma: float) -> PipelineParams:
@@ -175,12 +153,9 @@ def sweep_k(
         raise DomainError("k_list must be non-empty")
     if any(k < 0 for k in k_list):
         raise DomainError("k values must be >= 0")
-    rows = []
-    cache = StageCache()  # DM(v) is shared by every k
-    for k in k_list:
-        spec = PipelineSpec(PipelineParams(0.0, 1.0, 0.0, k * sigma), dm=dm, dn2=dn)
-        rows.append((float(k), cpsnr(run_pipeline(v, spec, cache=cache), ground_truth)))
-    return rows
+    specs = [PipelineSpec(PipelineParams(0.0, 1.0, 0.0, k * sigma), dm=dm, dn2=dn) for k in k_list]
+    u_dm = demosaic_stage(v, specs[0])  # alpha = 0: one DM(v) serves every k
+    return [(float(k), cpsnr(denoise_stage(u_dm, spec), ground_truth)) for k, spec in zip(k_list, specs)]
 
 
 def generalize_by_sigma(

@@ -1,4 +1,4 @@
-"""Shared fixtures: deterministic photo-like test images and optimizer test functions.
+"""Shared fixtures: deterministic photo-like test images, optimizer test functions, pipeline oracles.
 
 The generator mixes a 1/f-spectrum luminance field (contrast-stretched so
 shadows and highlights saturate like real photos), much smoother chroma
@@ -18,7 +18,12 @@ import pytest
 from hypothesis import settings
 from scipy import ndimage
 
+from dmdn.demosaic import demosaic
+from dmdn.denoise import DenoiseConfig, denoise_cfa, denoise_rgb
 from dmdn.image import ColorImage, rgb_planes
+from dmdn.mosaic import CfaImage
+from dmdn.noise import anscombe, anscombe_inverse
+from dmdn.pipeline import PipelineParams, PipelineSpec
 
 # One Hypothesis policy for every property: no per-example deadline, because
 # a shared host's slow phases can stretch single examples well past 200 ms.
@@ -37,6 +42,39 @@ def rosenbrock(x: np.ndarray) -> float:
     """Classic banana valley; minimum 0 at all-ones."""
     x = np.asarray(x)
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def reference_pipeline(v: CfaImage, spec: PipelineSpec) -> ColorImage:
+    """The blend computed stage by stage with no reuse, as in its definition."""
+    p = spec.params
+    if spec.vst:
+        v = anscombe(v)
+    if p.alpha != 0.0:
+        d1 = denoise_cfa(v, spec.dn1, DenoiseConfig(sigma=p.sigma1))
+        v = CfaImage(p.alpha * d1.plane + (1.0 - p.alpha) * v.plane, v.phase)
+    u = demosaic(v, spec.dm)
+    if p.beta != 0.0:
+        d2 = denoise_rgb(u, spec.dn2, DenoiseConfig(sigma=p.sigma2))
+        u = ColorImage(p.beta * d2.planes + (1.0 - p.beta) * u.planes)
+    return anscombe_inverse(u) if spec.vst else u
+
+
+def dm_key(p: PipelineParams) -> tuple:
+    """What DM's result depends on: alpha = 0 feeds DM the input whatever sigma1 is."""
+    return (0.0,) if p.alpha == 0.0 else (p.alpha, p.sigma1)
+
+
+def count_calls(monkeypatch, module, *names) -> dict:
+    """Count the calls of each `module.<name>`, which still runs: {name: calls so far}."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def spectral_field(rng: np.random.Generator, size: int, slope: float) -> np.ndarray:

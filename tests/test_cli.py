@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import json
+import math
 import multiprocessing
 import os
 import platform
@@ -19,10 +20,10 @@ from dmdn.analysis import cpsnr
 from dmdn.cli import build_parser, main
 from dmdn.image import ColorImage, GrayImage
 from dmdn.mosaic import mosaick
-from dmdn.noise import NoiseSpec, RngStream, add_awgn
-from dmdn.pipeline import PipelineSpec, StageCache, preset, run_pipeline
+from dmdn.noise import NoiseSpec, RngStream, add_awgn, noisy_mosaics
+from dmdn.pipeline import PRESET_NAMES, PipelineParams, PipelineSpec, preset, run_pipeline
 
-from conftest import make_natural
+from conftest import count_calls, dm_key, make_natural, reference_pipeline
 
 
 @pytest.fixture()
@@ -37,21 +38,6 @@ def dataset_dir(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
-
-
-class NoReuse(StageCache):
-    """A StageCache that never hits: every pipeline run computes every stage."""
-
-    def demosaiced(self, v, spec, compute):
-        return compute()
-
-
-def run_without_reuse(*argv):
-    """`run`, with every StageCache the commands make replaced by NoReuse."""
-    with pytest.MonkeyPatch.context() as mp:
-        for module in (cli, optimize, pipeline):
-            mp.setattr(module, "StageCache", NoReuse)
-        return run(*argv)
 
 
 def test_mosaic_noise_demosaic_denoise_chain(tmp_path, dataset_dir):
@@ -141,12 +127,6 @@ def test_eval_csv_shape_and_bitexact_rerun(tmp_path, dataset_dir):
 
     manifest_path = out_dir / "eval.manifest.json"
     before = json.loads(manifest_path.read_text())
-    # Reusing DM results leaves every score bit-identical.
-    uncached = tmp_path / "uncached"
-    assert run_without_reuse(*args[:-1], uncached) == 0
-    assert csv_path.read_bytes() == (uncached / "eval.csv").read_bytes()
-    reference = json.loads((uncached / "eval.manifest.json").read_text())
-    assert before["per_image_metrics"] == reference["per_image_metrics"]
     assert run("rerun", "--manifest", manifest_path) == 0
     after = json.loads(manifest_path.read_text())
     assert before["aggregate_metrics"] == after["aggregate_metrics"]
@@ -281,6 +261,25 @@ def test_recorded_seeds_are_the_seeds_used(tmp_path, dataset_dir):
     noisy = add_awgn(mosaick(truth, "GBRG"), NoiseSpec(20.0, manifest["per_image_seeds"][name]))
     restored = run_pipeline(noisy, PipelineSpec(preset("dmdn", 20.0)))
     assert cpsnr(restored, truth) == manifest["per_image_metrics"][name]["dmdn_sigma20"]
+    # Every image x sigma x preset score is its pipeline's, run stage by stage with no reuse.
+    names = sorted(manifest["per_image_metrics"])
+    images = [formats.read_image(dataset_dir / n) for n in names]
+    sigmas = [10.0, 20.0]
+    for i, k, v in noisy_mosaics(images, sigmas, 9, "GBRG"):
+        sigma = sigmas[k]
+        for preset_name in PRESET_NAMES:
+            spec = PipelineSpec(preset(preset_name, sigma))
+            score = manifest["per_image_metrics"][names[i]][f"{preset_name}_sigma{sigma:g}"]
+            assert score == cpsnr(reference_pipeline(v, spec), images[i])
+
+
+def test_eval_demosaics_once_for_dmdn_and_dm15dn(tmp_path, dataset_dir, monkeypatch):
+    calls = count_calls(monkeypatch, pipeline, "denoise_cfa", "demosaic")
+    assert run("eval", "--dataset", dataset_dir, "--sigmas", "5,20", "--jobs", 1, "--out", tmp_path / "e") == 0
+    # Per (image, sigma) task: one DM per run of presets with one DM key, and DN1 for dndm alone.
+    keys = [dm_key(preset(name, 20.0)) for name in PRESET_NAMES]
+    per_task = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+    assert per_task == 2 and calls == {"denoise_cfa": 4, "demosaic": 2 * 2 * per_task}
 
 
 @pytest.mark.parametrize(
@@ -321,9 +320,13 @@ def test_sweep_k_csv(tmp_path, dataset_dir):
         rows = list(csv.reader(fh))
     assert rows[0] == ["k", "mean_cpsnr"]
     assert [r[0] for r in rows[1:]] == ["0.0", "1.0", "1.5"]
-    uncached = tmp_path / "uncached.csv"
-    assert run_without_reuse(*args, "--out", uncached) == 0
-    assert out.read_bytes() == uncached.read_bytes()
+    # Each row is the mean over the images of the k's pipeline, run stage by stage.
+    images = [formats.read_image(dataset_dir / f"img{i}.ppm") for i in range(2)]
+    captures = list(noisy_mosaics(images, [20.0], 2))
+    for k, row in zip((0.0, 1.0, 1.5), rows[1:]):
+        spec = PipelineSpec(PipelineParams(0.0, 1.0, 0.0, k * 20.0))
+        scores = [cpsnr(reference_pipeline(v, spec), images[i]) for i, _, v in captures]
+        assert row[1] == f"{math.fsum(scores) / len(scores):.6f}"
 
 
 def test_rmse_table_csv(tmp_path, dataset_dir):
@@ -392,11 +395,6 @@ def test_tune_outputs(tmp_path, capsys):
     assert int(rows[-1][5]) == result["evaluations"]
     bests = [float(r[1]) for r in rows[1:]]
     assert all(x <= y for x, y in zip(bests, bests[1:]))
-    # Reusing DM results does not move the trajectory by a bit.
-    uncached = tmp_path / "uncached"
-    assert run_without_reuse(*args, uncached) == 0
-    for name in ("tune_result.json", "trace.csv"):
-        assert (out_dir / name).read_bytes() == (uncached / name).read_bytes()
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -660,7 +658,8 @@ def test_each_image_noise_field_is_drawn_once(tmp_path, dataset_dir, monkeypatch
 
 
 def test_eval_checks_every_preset_before_running_a_pipeline(tmp_path, dataset_dir, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_pipeline", lambda *a, **k: pytest.fail("a pipeline ran"))
+    for name in ("run_pipeline", "demosaic_stage", "denoise_stage"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("a pipeline ran"))
     # dm15dn at sigma 200 asks for sigma2 = 300
     assert run("eval", "--dataset", dataset_dir, "--sigmas", "5,200", "--out", tmp_path / "e") == 4
     assert "sigma2 must be in [0, 255], got 300.0" in capsys.readouterr().err

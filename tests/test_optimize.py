@@ -25,7 +25,7 @@ from dmdn.optimize import (
 )
 from dmdn.pipeline import PRESET_NAMES, PipelineParams, PipelineSpec, preset, run_pipeline
 
-from conftest import make_natural, rosenbrock, sphere
+from conftest import count_calls, dm_key, make_natural, rosenbrock, sphere
 
 
 def box(n, lo=-5.0, hi=5.0):
@@ -437,12 +437,25 @@ def count_dn2_calls(monkeypatch):
 
 def test_oracle_points_run_fifteen_dn2_per_image(monkeypatch):
     calls = count_dn2_calls(monkeypatch)
+    stages = count_calls(monkeypatch, pipeline, "denoise_cfa", "demosaic")
     objective = objective_for(count=3)[0]
     for x in oracle_points():
         objective(np.array(x))
     # 7 DM keys (alpha = 0, and alpha in {0.5, 1} x sigma1 in {0, 20, 40})
     # x sigma2 in {20, 40}, plus dm15dn's sigma2 = 30: 15 keys per image.
     assert len(calls) == 15 * 3
+    # One held DM result per image: a memo miss reruns DM (and DN1, at alpha > 0)
+    # only when its DM key differs from the last miss's.  The beta = 0.5 pass
+    # revisits the beta = 0 pass's keys, so 13 DMs per image on 7 keys, 12 DN1s.
+    seen, keys = set(), []
+    for p in (PipelineParams(*x) for x in oracle_points()):
+        memo_key = dm_key(p) + (p.sigma2 if p.beta != 0.0 and p.sigma2 != 0.0 else 0.0,)
+        if memo_key not in seen:
+            seen.add(memo_key)
+            keys.append(dm_key(p))
+    changes = [b for a, b in zip([None] + keys, keys) if a != b]
+    assert len(changes) == 13 and sum(key != (0.0,) for key in changes) == 12
+    assert stages == {"denoise_cfa": 12 * 3, "demosaic": 13 * 3}
 
 
 def test_criterion_8_grid_runs_dn2_once_per_memo_key(monkeypatch):

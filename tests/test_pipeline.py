@@ -17,13 +17,16 @@ from dmdn.pipeline import (
     PARAMETERS,
     PipelineParams,
     PipelineSpec,
-    StageCache,
+    demosaic_stage,
+    denoise_stage,
     generalize_by_image,
     generalize_by_sigma,
     preset,
     run_pipeline,
     sweep_k,
 )
+
+from conftest import dm_key, reference_pipeline
 
 
 def noisy_cfa(seed=0, sigma=20.0, size=32):
@@ -138,28 +141,13 @@ def test_timings_report_stages():
     assert all(t >= 0.0 for t in timings.values())
 
 
-# ------------------------------------------------------------- stage cache
+# ------------------------------------------------------------- the two stages
 
 
-def reference_pipeline(v: CfaImage, spec: PipelineSpec) -> ColorImage:
-    """The blend computed stage by stage with no reuse, as in its definition."""
-    p = spec.params
-    if spec.vst:
-        v = anscombe(v)
-    if p.alpha != 0.0:
-        d1 = denoise_cfa(v, spec.dn1, DenoiseConfig(sigma=p.sigma1))
-        v = CfaImage(p.alpha * d1.plane + (1.0 - p.alpha) * v.plane, v.phase)
-    u = demosaic(v, spec.dm)
-    if p.beta != 0.0:
-        d2 = denoise_rgb(u, spec.dn2, DenoiseConfig(sigma=p.sigma2))
-        u = ColorImage(p.beta * d2.planes + (1.0 - p.beta) * u.planes)
-    return anscombe_inverse(u) if spec.vst else u
-
-
-# The functions `run_pipeline` calls, by the stage they belong to.
+# The functions the two stages call, by the stage they belong to.
 STAGE_FUNCTIONS = {"vst": "anscombe", "dn1": "denoise_cfa", "dm": "demosaic", "dn2": "denoise_rgb"}
 
-# Few values per parameter, so a sequence both repeats and changes the DM key.
+# Few values per parameter, so two draws often share a DM key.
 _params = st.builds(
     PipelineParams,
     alpha=st.sampled_from([0.0, 0.5, 1.0]),
@@ -170,57 +158,37 @@ _params = st.builds(
 _denoisers = st.sampled_from([DenoiserId.DCT8, DenoiserId.IDENTITY])
 
 
-def dm_key(p: PipelineParams) -> tuple:
-    """What DM's result depends on: alpha = 0 feeds DM the input whatever sigma1 is."""
-    return (0.0,) if p.alpha == 0.0 else (p.alpha, p.sigma1)
+@settings(max_examples=60)
+@given(_params, _denoisers, _denoisers, st.booleans())
+def test_run_pipeline_matches_the_reference(params, dn1, dn2, vst):
+    v, _ = noisy_cfa(12, sigma=5.0, size=16)  # stays above -3/8, so vst applies
+    spec = PipelineSpec(params, dn1=dn1, dn2=dn2, vst=vst)
+    assert np.array_equal(run_pipeline(v, spec).planes, reference_pipeline(v, spec).planes)
 
 
 @settings(max_examples=60)
-@given(st.lists(_params, min_size=1, max_size=8), _denoisers, _denoisers, st.booleans())
-def test_stage_cache_matches_the_uncached_pipeline(sequence, dn1, dn2, vst):
-    v, _ = noisy_cfa(12, sigma=5.0, size=16)  # stays above -3/8, so vst applies
-    specs = [PipelineSpec(params, dn1=dn1, dn2=dn2, vst=vst) for params in sequence]
-    expected = [reference_pipeline(v, spec).planes for spec in specs]
-    for spec, planes in zip(specs, expected):
-        assert np.array_equal(run_pipeline(v, spec).planes, planes)
-
-    cache = StageCache()
-    computed = []
+@given(_params, _params, st.booleans(), _denoisers, _denoisers, st.booleans())
+def test_one_demosaic_stage_serves_every_spec_with_its_dm_key(first, second, share, dn1, dn2, vst):
+    if share:  # at alpha = 0 sigma1 may still differ
+        second = replace(second, alpha=first.alpha, sigma1=first.sigma1 if first.alpha != 0.0 else second.sigma1)
+    assert (pipeline.dm_key(first) == pipeline.dm_key(second)) == (dm_key(first) == dm_key(second))
+    v, _ = noisy_cfa(12, sigma=5.0, size=16)
+    s1, s2 = (PipelineSpec(p, dn1=dn1, dn2=dn2, vst=vst) for p in (first, second))
+    u_dm = demosaic_stage(v, s1)
+    computed, timings = [], {}
 
     def watch(stage_name, fn):
-        def wrapper(*args, **kwargs):
-            if stage_name != "dn2":
-                assert cache.result is None  # evicted before its replacement is computed
-            computed.append(stage_name)
-            return fn(*args, **kwargs)
-
-        return wrapper
+        return lambda *args, **kwargs: computed.append(stage_name) or fn(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         for name, func in STAGE_FUNCTIONS.items():
             mp.setattr(pipeline, func, watch(name, getattr(pipeline, func)))
-        for spec, planes in zip(specs, expected):
-            assert np.array_equal(run_pipeline(v, spec, cache=cache).planes, planes)
-        # DM runs once per change of its key, and only there.
-        keys = [dm_key(p) for p in sequence]
-        assert computed.count("dm") == 1 + sum(a != b for a, b in zip(keys, keys[1:]))
-        # A repeated point runs only DN2, when beta > 0, and times only that.
-        computed.clear()
-        timings = {}
-        again = run_pipeline(v, specs[-1], timings=timings, cache=cache)
-    ran = ["dn2"] if sequence[-1].beta != 0.0 else []
+        out = denoise_stage(u_dm, s2, timings)
+    # The second half runs DN2 when beta > 0, and times only that.
+    ran = ["dn2"] if second.beta != 0.0 else []
     assert computed == ran and sorted(timings) == ran
-    assert np.array_equal(again.planes, expected[-1])
-
-
-def test_stage_cache_serves_one_input_and_one_set_of_operators():
-    v, _ = noisy_cfa(13)
-    w, _ = noisy_cfa(14, sigma=5.0)  # stays above -3/8, so vst applies
-    cache = StageCache()
-    spec = PipelineSpec(PipelineParams(0.5, 0.5, 10.0, 10.0))
-    run_pipeline(v, spec, cache=cache)
-    for u, s in ((w, spec), (w, PipelineSpec(spec.params, dn1="identity")), (w, replace(spec, vst=True))):
-        assert np.array_equal(run_pipeline(u, s, cache=cache).planes, reference_pipeline(u, s).planes)
+    if dm_key(first) == dm_key(second):
+        assert np.array_equal(out.planes, run_pipeline(v, s2).planes)
 
 
 def test_sweep_k_demosaics_once(monkeypatch):
