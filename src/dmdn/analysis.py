@@ -168,7 +168,11 @@ def rmse_table(
     """
     values: list[list[float]] = [[] for _ in sigma_list]
     for index, k, noisy in noisy_mosaics(dataset, sigma_list, seed, phase):
-        out = demosaic(noisy, demosaicer)
-        clipped = ColorImage(np.clip(out.planes, 0.0, 255.0))
-        values[k].append(rmse(clipped, dataset[index]))
+        # rmse of the clipped image, in one buffer (squaring erases the sign
+        # of a zero, where this may differ from np.clip).
+        err = np.maximum(demosaic(noisy, demosaicer).planes, 0.0)
+        np.minimum(err, 255.0, out=err)
+        err -= dataset[index].planes
+        err *= err
+        values[k].append(math.sqrt(float(np.mean(err))))
     return [(float(sigma), math.fsum(v) / len(v)) for sigma, v in zip(sigma_list, values)]

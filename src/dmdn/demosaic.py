@@ -8,6 +8,11 @@ IPOL 2011) fill each missing color with a fixed kernel per site role and
 differ only in their kernel tables; Hamilton-Adams (US Patent 5,629,734)
 picks green along the smaller gradient and fills chroma with the bilinear
 table applied to color differences against that green.
+
+Each fill pass pads its plane once and splits it into four contiguous parity
+planes (even/odd rows by even/odd columns).  The sites of one role are one
+parity class, so every kernel tap at them is a contiguous slice of one parity
+plane; the taps and the order they are summed in are those of the kernels.
 """
 
 from __future__ import annotations
@@ -81,24 +86,41 @@ _K_X = np.array(
 _MALVAR = {"G": _K_G, "H": _K_H, "V": _K_V, "X": _K_X}
 
 
-def _at(padded: np.ndarray, phase: str, role: str, di: int, dj: int) -> np.ndarray:
-    """The samples at offset (di, dj) from each `role` site of a plane padded by 2."""
-    h, w = padded.shape[0] - 4, padded.shape[1] - 4
-    return sites(padded[2 + di : 2 + di + h, 2 + dj : 2 + dj + w], phase, role)
+# Block position 2*r + c at (r, c): `sites` of this block reads a role's (r, c).
+_BLOCK_INDEX = np.arange(4).reshape(2, 2)
 
 
-def _stencil(padded: np.ndarray, phase: str, role: str, kernel: np.ndarray) -> np.ndarray:
-    """The kernel's response at each `role` site of a plane padded by 2.
+def _parity_planes(plane: np.ndarray) -> np.ndarray:
+    """The plane mirror-padded by 2, split into its four parity planes.
+
+    planes[a, b] is the contiguous copy of padded[a::2, b::2].
+    """
+    padded = reflect_pad(plane, (2, 2), (2, 2))
+    h2, w2 = padded.shape[0] // 2, padded.shape[1] // 2
+    return np.ascontiguousarray(padded.reshape(h2, 2, w2, 2).transpose(1, 3, 0, 2))
+
+
+def _at(planes: np.ndarray, phase: str, role: str, di: int, dj: int) -> np.ndarray:
+    """The samples at offset (di, dj) from each `role` site, a slice of one parity plane."""
+    r, c = divmod(int(sites(_BLOCK_INDEX, phase, role)[0, 0]), 2)
+    h, w = planes.shape[2] - 2, planes.shape[3] - 2
+    # Site (r + 2y, c + 2x) sits at padded row 2 + r + 2y: parity plane row 1 + r//2 + y.
+    p, q = r + di, c + dj
+    return planes[p % 2, q % 2, 1 + p // 2 : 1 + p // 2 + h, 1 + q // 2 : 1 + q // 2 + w]
+
+
+def _stencil(planes: np.ndarray, phase: str, role: str, kernel: np.ndarray) -> np.ndarray:
+    """The kernel's response at each `role` site of a plane's parity planes.
 
     The nonzero taps are summed in raster order starting from 0, as
     `scipy.ndimage.convolve` sums them, so the result is bit-identical to
     a mirror-mode convolution of the whole plane read at those sites.
     """
     ci, cj = kernel.shape[0] // 2, kernel.shape[1] // 2
-    acc = np.zeros_like(_at(padded, phase, role, 0, 0))
+    acc = np.zeros_like(_at(planes, phase, role, 0, 0))
     for (i, j), weight in np.ndenumerate(kernel):
         if weight:
-            acc += weight * _at(padded, phase, role, i - ci, j - cj)
+            acc += weight * _at(planes, phase, role, i - ci, j - cj)
     return acc
 
 
@@ -108,11 +130,11 @@ def _fill(out: np.ndarray, raw: np.ndarray, phase: str, table: dict, channels, b
     With `base` (a full green plane) the kernels act on `raw - base` and
     their response is added back to `base`.
     """
-    padded = reflect_pad(raw if base is None else raw - base, (2, 2), (2, 2))
+    planes = _parity_planes(raw if base is None else raw - base)
     for channel in channels:
         for role, kind in _FILL[channel].items():
             if kind:
-                est = _stencil(padded, phase, role, table[kind])
+                est = _stencil(planes, phase, role, table[kind])
                 if base is not None:
                     est += sites(base, phase, role)
                 sites(out[channel], phase, role)[...] = est
@@ -120,10 +142,10 @@ def _fill(out: np.ndarray, raw: np.ndarray, phase: str, table: dict, channels, b
 
 def _hamilton_adams_green(out: np.ndarray, raw: np.ndarray, phase: str) -> None:
     """Green at each chroma site along the smaller directional gradient."""
-    padded = reflect_pad(raw, (2, 2), (2, 2))
+    planes = _parity_planes(raw)
     for role, kind in _FILL[1].items():
         if kind:
-            s = partial(_at, padded, phase, role)
+            s = partial(_at, planes, phase, role)
             # Directional green estimates with a second-difference chroma correction.
             lap_h = 2.0 * s(0, 0) - s(0, -2) - s(0, 2)
             lap_v = 2.0 * s(0, 0) - s(-2, 0) - s(2, 0)

@@ -3,11 +3,11 @@
 Randomness comes from a self-contained xoshiro256++ generator seeded through
 splitmix64, so identical seeds give identical sample streams on every
 platform.  It is lane-stepped xoshiro256++ with GF(2) jump-ahead; the same
-stream as the scalar definition: a draw of n words starts about sqrt(n) lanes
-at evenly spaced stream offsets and steps them together with array
-operations.  Normals are produced by Box-Muller (a fixed two-uniforms-per-pair
-budget keeps stream consumption independent of the sampled values), consumed
-in raster order and channel-major for color images.
+stream as the scalar definition: a draw of n words starts about 2*sqrt(n) to
+4*sqrt(n) lanes at evenly spaced stream offsets and steps them together with
+array operations.  Normals are produced by Box-Muller (a fixed
+two-uniforms-per-pair budget keeps stream consumption independent of the
+sampled values), consumed in raster order and channel-major for color images.
 """
 
 from __future__ import annotations
@@ -63,8 +63,10 @@ def _from_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def _gf2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # A float32 matmul of 0/1 matrices is exact: every sum is at most 256.
-    return (a.astype(np.float32) @ b.astype(np.float32) % 2).astype(np.uint8)
+    # A float32 matmul of 0/1 matrices is exact: every sum is an integer of
+    # at most 256, so its parity is the low bit of its uint16 cast.
+    sums = a.astype(np.float32) @ b.astype(np.float32)
+    return (sums.astype(np.uint16) & 1).astype(np.uint8)
 
 
 def _advance(s: np.ndarray, t: np.ndarray, u: np.ndarray) -> None:
@@ -117,14 +119,15 @@ class RngStream:
     def _u64_array(self, n: int) -> np.ndarray:
         """The next n words of the stream.
 
-        L = ceil(n / m) lanes of m = 2**(floor(log2 n) // 2) words each, lane
-        j starting j*m words ahead.  The lane starts come from doubling: with
-        2**k lanes so far, one product with the jump 2**k * m appends the next
-        2**k.  All lanes step together and are read lane-major.
+        L = ceil(n / m) lanes of m = 2**(floor(log2 n) // 2 - 1) words each
+        (at least one), lane j starting j*m words ahead.  The lane starts come
+        from doubling: with 2**k lanes so far, one product with the jump
+        2**k * m appends the next 2**k.  All lanes step together and are read
+        lane-major.
         """
         if n == 0:
             return np.empty(0, dtype=np.uint64)
-        log_m = (n.bit_length() - 1) // 2
+        log_m = max((n.bit_length() - 1) // 2 - 1, 0)
         m = 1 << log_m
         lanes = -(-n // m)
         bits = _to_bits(self._s[:, None])

@@ -15,8 +15,8 @@ from dmdn.analysis import (
 )
 from dmdn.demosaic import demosaic
 from dmdn.image import ColorImage, DomainError
-from dmdn.mosaic import mosaick
-from dmdn.noise import NoiseSpec, add_awgn
+from dmdn.mosaic import PHASES, mosaick
+from dmdn.noise import NoiseSpec, add_awgn, derive_seed
 
 
 def random_pair(seed, h=16, w=16):
@@ -210,6 +210,28 @@ def test_rmse_table_sigma_zero_is_pure_demosaicing_error(natural_images):
     out = demosaic(mosaick(truth), "ha")
     clipped = ColorImage(np.clip(out.planes, 0, 255))
     assert rows[0][1] == pytest.approx(rmse(clipped, truth), abs=1e-12)
+
+
+@pytest.mark.parametrize("method", ["bilinear", "ha", "malvar"])
+@pytest.mark.parametrize("phase", PHASES)
+def test_rmse_table_equals_mean_rmse_of_clipped_demosaic(method, phase):
+    # Saturated truth images, so that demosaicing and noise push samples past
+    # both ends of the export clip.
+    rng = np.random.default_rng(17)
+    dataset = [ColorImage(np.clip(rng.uniform(-80, 335, (3, 12, 16)), 0, 255)) for _ in range(2)]
+    sigmas, seed = [0.0, 5.0, 50.0], 9
+    expected, below, above = [], False, False
+    for sigma in sigmas:
+        values = []
+        for index, truth in enumerate(dataset):
+            noisy = add_awgn(mosaick(truth, phase), NoiseSpec(sigma, derive_seed(seed, index)))
+            planes = demosaic(noisy, method).planes
+            below, above = below or (planes < 0).any(), above or (planes > 255).any()
+            values.append(rmse(ColorImage(np.clip(planes, 0, 255)), truth))
+        expected.append((sigma, (math.fsum(values) / len(values)).hex()))
+    rows = rmse_table(dataset, method, sigmas, seed, phase)
+    assert [(sigma, value.hex()) for sigma, value in rows] == expected
+    assert below and above
 
 
 def test_rmse_table_monotone_in_sigma(natural_images):
