@@ -63,36 +63,24 @@ def _dct_matrix(n: int) -> np.ndarray:
     return mat
 
 
-# The 2-D DCT of a block X is B @ X @ B.T.
+# The 2-D DCT of a block X is B @ X @ B.T.  Along one axis, STEP-row tile
+# c + 1 of the inverse is the lower half of block c's B.T @ C plus the upper
+# half of block c + 1's: _FOLD applied to the two blocks' stacked 16 rows.
 _BASIS = _dct_matrix(BLOCK)
-_BASIS_T = np.ascontiguousarray(_BASIS.T)
+_FOLD = np.hstack([_BASIS.T[STEP:], _BASIS.T[:STEP]])
 
 
-def _bands(a: np.ndarray) -> np.ndarray:
-    """The (n, BLOCK, width) view of the BLOCK-row bands of a that start every STEP rows.
+def _bands(a: np.ndarray, block: int = BLOCK, step: int = STEP) -> np.ndarray:
+    """The (n, block, width) view of the block-row bands of a that start every step rows.
 
     Each band is a strided 2-D matrix BLAS reads in place, so a matmul with
-    the basis transforms all blocks of a band down its columns at once.  The
-    bands overlap, so the view is read-only: nothing can write through it.
+    a (k, block) matrix transforms all blocks of a band down its columns at
+    once.  The bands overlap, so the view is read-only: nothing can write
+    through it.
     """
     s0, s1 = a.strides
-    n = (a.shape[0] - BLOCK) // STEP + 1
-    return as_strided(a, (n, BLOCK, a.shape[1]), (STEP * s0, s0, s1), writeable=False)
-
-
-def _overlap_add(est: np.ndarray) -> np.ndarray:
-    """Sum the (n, BLOCK, ...) estimates of bands that start every STEP rows.
-
-    Band k covers STEP-row tiles k and k + 1, so the sum is two slab adds
-    on the leading axis; the result has (n + 1) * STEP rows.
-    """
-    n = est.shape[0]
-    halves = est.reshape(n, 2, STEP, -1)
-    acc = np.empty((n + 1, STEP, halves.shape[-1]))
-    acc[:n] = halves[:, 0]
-    acc[n] = 0.0
-    acc[1:] += halves[:, 1]
-    return acc.reshape((n + 1) * STEP, -1)
+    n = (a.shape[0] - block) // step + 1
+    return as_strided(a, (n, block, a.shape[1]), (step * s0, s0, s1), writeable=False)
 
 
 def _dct8_channel(x: np.ndarray, sigma: float) -> np.ndarray:
@@ -118,18 +106,20 @@ def _dct8_channel(x: np.ndarray, sigma: float) -> np.ndarray:
     tmp = np.abs(coeff)
     tmp.reshape(-1, BLOCK, rows, BLOCK)[:, 0, :, 0] = np.inf  # DC always survives
     coeff *= tmp >= THRESHOLD_GAIN * sigma
-
-    # Inverse, one axis at a time: contract k2 and overlap-add the column
-    # bands, transpose back, then contract k1 and overlap-add the row bands.
-    # A pixel's four block estimates are summed per axis, so outputs match a
-    # block-by-block inverse up to rounding (~1e-13).
-    np.matmul(_BASIS_T, coeff, out=tmp)
-    del coeff
-    part = _overlap_add(tmp).T.copy().reshape(rows, BLOCK, -1)
     del tmp
-    acc = _overlap_add(np.matmul(_BASIS_T, part))
-    # Past the padding every pixel lies in exactly four blocks.
-    return acc[pad : pad + h, pad : pad + w] / 4
+
+    # Inverse, one axis at a time: _FOLD on the 16-row bands, every 8 rows, of
+    # the stacked coefficients contracts k2 and overlap-adds in one matmul,
+    # one transpose, then the same for k1.  pad = STEP, so the first and last
+    # tiles of each axis are padding and only the interior tiles are computed.
+    # Past the padding every pixel lies in exactly four blocks; the / 4 is a
+    # power of two, folded exactly into the second pass.  Each output is a
+    # 16-term sum per axis, within ~1e-13 of a block-by-block inverse.
+    part = np.matmul(_FOLD, _bands(coeff.reshape(-1, rows * BLOCK), 2 * BLOCK, BLOCK))
+    del coeff
+    part = part.reshape(-1, rows * BLOCK).T.copy()
+    acc = np.matmul(_FOLD / 4, _bands(part, 2 * BLOCK, BLOCK))
+    return acc.reshape(-1, acc.shape[-1])[:h, :w]
 
 
 def _mirror_plan(n: int):

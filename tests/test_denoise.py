@@ -19,12 +19,13 @@ from dmdn.denoise import (
     DenoiseConfig,
     DenoiserId,
     _bands,
+    _dct8_channel,
     _dct_matrix,
     denoise_cfa,
     denoise_rgb,
 )
 from dmdn.demosaic import DemosaicerId, demosaic
-from dmdn.image import ColorImage, DomainError, opponent_planes, rgb_planes
+from dmdn.image import ColorImage, DomainError, opponent_planes, reflect_pad, rgb_planes
 from dmdn.mosaic import CfaImage, mosaick, recombine_cfa, sites, split_cfa
 from dmdn.noise import NoiseSpec, add_awgn
 
@@ -172,6 +173,58 @@ def test_bands_is_the_read_only_sliding_window_view(shape):
         assert not bands.flags.writeable  # bands overlap: a write through one would reach its neighbour
         with pytest.raises(ValueError):
             bands[0, -1, 0] = 0.0
+
+
+def test_bands_of_two_blocks_every_block_is_the_read_only_sliding_window_view():
+    # The inverse reads 16-row bands every 8 rows: two stacked blocks of coefficients.
+    a = np.arange(40.0 * 7).reshape(40, 7)
+    for x in (a, np.asfortranarray(a), np.arange(2 * a.size, dtype=np.float64).reshape(40, -1)[:, ::2]):
+        bands = _bands(x, 16, 8)
+        assert np.array_equal(bands, sliding_window_view(x, 16, axis=0)[::8].transpose(0, 2, 1))
+        assert not bands.flags.writeable
+        with pytest.raises(ValueError):
+            bands[0, -1, 0] = 0.0
+
+
+def _overlap_add(est):
+    # Sum the (n, BLOCK, ...) estimates of bands that start every STEP rows:
+    # band k covers STEP-row tiles k and k + 1, so two slab adds.
+    n = est.shape[0]
+    halves = est.reshape(n, 2, STEP, -1)
+    acc = np.empty((n + 1, STEP, halves.shape[-1]))
+    acc[:n] = halves[:, 0]
+    acc[n] = 0.0
+    acc[1:] += halves[:, 1]
+    return acc.reshape((n + 1) * STEP, -1)
+
+
+def _two_slab_dct8_channel(x, sigma):
+    # The earlier kernel: the same forward transform and threshold, then per
+    # axis a B.T matmul of every band, an overlap-add of all tiles, and / 4.
+    h, w = x.shape
+    pad = BLOCK - STEP
+    xp = reflect_pad(x, (pad, pad + (-h) % STEP), (pad, pad + (-w) % STEP))
+    basis = _dct_matrix(BLOCK)
+    rows = (xp.shape[0] - BLOCK) // STEP + 1
+    part = np.matmul(basis, _bands(xp)).reshape(rows * BLOCK, -1).T.copy()
+    coeff = np.matmul(basis, _bands(part))
+    keep = np.abs(coeff)
+    keep.reshape(-1, BLOCK, rows, BLOCK)[:, 0, :, 0] = np.inf
+    coeff *= keep >= THRESHOLD_GAIN * sigma
+    part = _overlap_add(np.matmul(basis.T, coeff)).T.copy().reshape(rows, BLOCK, -1)
+    acc = _overlap_add(np.matmul(basis.T, part))
+    return acc[pad : pad + h, pad : pad + w] / 4
+
+
+@pytest.mark.parametrize("sigma", (5.0, 20.0, 50.0))
+def test_fused_inverse_matches_two_slab_oracle(sigma):
+    # Same decisions, reordered 16-term sums: a few ulp of samples on the 0..255 scale.
+    shapes = [(h, w) for h in range(1, 20) for w in range(1, 20)] + [(n, n) for n in (64, 128, 256, 512)]
+    for h, w in shapes:
+        x = np.random.default_rng(100 * h + w).uniform(0.0, 255.0, size=(h, w))
+        out = _dct8_channel(x, sigma)
+        assert out.shape == (h, w)
+        assert np.abs(out - _two_slab_dct8_channel(x, sigma)).max() <= 2e-13, (h, w)
 
 
 def test_kernels_do_not_call_np_pad(monkeypatch):
