@@ -2,7 +2,8 @@
 
 Every file-producing subcommand writes a JSON manifest next to its outputs
 recording the exact argv, resolved configuration, seeds, per-image and
-aggregate metrics, and per-stage wall-clock timings.  `dmdn rerun
+aggregate metrics, and wall-clock timings: per stage, except that `tune`
+and `rmse-table` record one total and `stats` none.  `dmdn rerun
 --manifest M` re-executes the recorded command in its recorded directory;
 on the same machine this reproduces all aggregate metrics bit for bit.
 
@@ -21,7 +22,6 @@ import os
 import platform
 import sys
 from dataclasses import asdict, astuple
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +39,11 @@ from .pipeline import (
     PRESET_NAMES,
     PipelineParams,
     PipelineSpec,
-    demosaic_stage,
-    denoise_stage,
-    dm_key,
     preset,
     run_pipeline,
+    score_specs,
     stage,
-    sweep_k,
+    sweep_k_specs,
 )
 
 EXIT_IO = 3
@@ -220,14 +218,46 @@ def _distinct_labels(flag: str, what: str, values: list[float]) -> list[str]:
     return labels
 
 
+def _score_dataset(args, dataset, sigmas: list[float], tables: list[dict[str, PipelineSpec]]) -> dict:
+    """Score every image's capture at `sigmas[j]` with each spec of `tables[j]`, {metric: spec}.
+
+    Returns the manifest fields from `per_image_metrics` on: the scores, their
+    means over the images, the stage timings summed over all tasks, and the workers.
+    """
+
+    def one(task):
+        index, j, noisy = task
+        timings: dict = {}
+        scores = score_specs(noisy, dataset[index][1], tables[j].values(), timings)
+        return dataset[index][0], dict(zip(tables[j], scores)), timings
+
+    worker_cpu_s = -_children_cpu_s()
+    tasks = len(dataset) * len(sigmas)
+    with stage({}, "total") as timings, ordered_map(one, args.jobs, tasks) as (workers, run):
+        results = run(noisy_mosaics([img for _, img in dataset], sigmas, args.seed, args.phase))
+    worker_cpu_s += _children_cpu_s()
+
+    per_image: dict = {name: {} for name, _ in dataset}
+    for name, scores, task_timings in results:
+        per_image[name].update(scores)
+        for key, seconds in task_timings.items():
+            timings[key] = timings.get(key, 0.0) + seconds
+    means = {key: math.fsum(s[key] for s in per_image.values()) / len(dataset) for t in tables for key in t}
+    return dict(per_image_metrics=per_image, aggregate_metrics=means, timings=timings, workers=workers,
+                worker_cpu_s=worker_cpu_s)
+
+
 # ---------------------------------------------------------------- subcommands
 
 
 def cmd_mosaic(args) -> None:
     img = _read_color(args.input)
     out = Path(args.out)
-    formats.write_image(out, mosaick(img, args.phase))
-    _write_manifest(args, [out])
+    with stage({}, "mosaic") as timings:
+        cfa = mosaick(img, args.phase)
+    with stage(timings, "write"):
+        formats.write_image(out, cfa)
+    _write_manifest(args, [out], timings=timings)
 
 
 def cmd_noise(args) -> None:
@@ -292,37 +322,16 @@ def cmd_pipeline_preset(args) -> None:
 
 
 def cmd_pipeline_sweep_k(args) -> None:
-    _distinct_labels("--k-list", "factor", args.k_list)
+    labels = _distinct_labels("--k-list", "factor", args.k_list)
+    specs = sweep_k_specs(args.dm, args.dn, args.sigma, args.k_list)
     out = _usable_out(args.out, directory=False)
     dataset = _load_dataset(args.dataset)
-
-    def one(task):
-        index, _, noisy = task
-        return sweep_k(noisy, dataset[index][1], args.dm, args.dn, args.sigma, args.k_list)
-
-    worker_cpu_s = -_children_cpu_s()
-    with stage({}, "sweep") as timings, ordered_map(one, args.jobs, len(dataset)) as (workers, run):
-        per_image = run(noisy_mosaics([img for _, img in dataset], [args.sigma], args.seed, args.phase))
-    worker_cpu_s += _children_cpu_s()
-    means = [
-        math.fsum(rows[i][1] for rows in per_image) / len(per_image)
-        for i in range(len(args.k_list))
-    ]
-    _write_csv(out, ["k", "mean_cpsnr"], ([k, f"{m:.6f}"] for k, m in zip(args.k_list, means)))
-    _write_manifest(
-        args,
-        [out],
-        master_seed=args.seed,
-        per_image_seeds=_image_seeds(args.seed, dataset),
-        per_image_metrics={
-            name: {f"cpsnr_k{k:g}": rows[i][1] for i, k in enumerate(args.k_list)}
-            for (name, _), rows in zip(dataset, per_image)
-        },
-        aggregate_metrics={f"mean_cpsnr_k{k:g}": m for k, m in zip(args.k_list, means)},
-        timings=timings,
-        workers=workers,
-        worker_cpu_s=worker_cpu_s,
-    )
+    table = {f"cpsnr_k{label}": spec for label, spec in zip(labels, specs)}
+    scored = _score_dataset(args, dataset, [args.sigma], [table])
+    means = scored["aggregate_metrics"] = {f"mean_{key}": m for key, m in scored["aggregate_metrics"].items()}
+    _write_csv(out, ["k", "mean_cpsnr"], ([k, f"{m:.6f}"] for k, m in zip(args.k_list, means.values())))
+    seeds = _image_seeds(args.seed, dataset)
+    _write_manifest(args, [out], master_seed=args.seed, per_image_seeds=seeds, **scored)
 
 
 def cmd_tune(args) -> None:
@@ -426,42 +435,19 @@ def cmd_rmse_table(args) -> None:
 
 def cmd_eval(args) -> None:
     labels = _distinct_labels("--sigmas", "noise level", args.sigmas)
-    params = [{name: preset(name, sigma) for name in PRESET_NAMES} for sigma in args.sigmas]
+    # In preset order, so dmdn and dm15dn, one DM key, share one DM(v).
+    tables = [
+        {f"{name}_sigma{label}": _spec_from_args(args, preset(name, sigma)) for name in PRESET_NAMES}
+        for sigma, label in zip(args.sigmas, labels)
+    ]
     out_dir = _usable_out(args.out, directory=True)
     dataset = _load_dataset(args.dataset)
-
-    def run_one(task):
-        index, k, noisy = task
-        name, truth = dataset[index]
-        timings: dict = {}
-        scores = {}
-        # Presets in a row with one DM key share one DM(v): dmdn and dm15dn.
-        for _, group in groupby(params[k].items(), key=lambda item: dm_key(item[1])):
-            specs = [(preset_name, _spec_from_args(args, p)) for preset_name, p in group]
-            u_dm = demosaic_stage(noisy, specs[0][1], timings)
-            for preset_name, spec in specs:
-                scores[f"{preset_name}_sigma{labels[k]}"] = cpsnr(denoise_stage(u_dm, spec, timings), truth)
-        return name, scores, timings
-
-    tasks = len(dataset) * len(args.sigmas)
-    worker_cpu_s = -_children_cpu_s()
-    with stage({}, "total") as timings, ordered_map(run_one, args.jobs, tasks) as (workers, run):
-        results = run(noisy_mosaics([img for _, img in dataset], args.sigmas, args.seed, args.phase))
-    worker_cpu_s += _children_cpu_s()
-
-    per_image: dict = {name: {} for name, _ in dataset}
-    for name, scores, task_timings in results:
-        per_image[name].update(scores)
-        for key, seconds in task_timings.items():
-            timings[key] = timings.get(key, 0.0) + seconds
-
-    aggregate = {}
-    rows = []
-    for sigma, label, by_preset in zip(args.sigmas, labels, params):
-        for preset_name, preset_params in by_preset.items():
-            key = f"{preset_name}_sigma{label}"
-            aggregate[key] = math.fsum(scores[key] for scores in per_image.values()) / len(dataset)
-            rows.append([sigma, preset_name, *astuple(preset_params), f"{aggregate[key]:.6f}"])
+    scored = _score_dataset(args, dataset, args.sigmas, tables)
+    rows = [
+        [sigma, name, *astuple(spec.params), f"{scored['aggregate_metrics'][key]:.6f}"]
+        for sigma, table in zip(args.sigmas, tables)
+        for name, (key, spec) in zip(PRESET_NAMES, table.items())
+    ]
     csv_path = out_dir / "eval.csv"
     _write_csv(csv_path, ["sigma", "method", *PARAMETERS, "mean_cpsnr"], rows)
     _write_manifest(
@@ -470,11 +456,7 @@ def cmd_eval(args) -> None:
         master_seed=args.seed,
         per_image_seeds=_image_seeds(args.seed, dataset),
         components={"dn1": args.dn1, "dm": args.dm, "dn2": args.dn2},
-        per_image_metrics=per_image,
-        aggregate_metrics=aggregate,
-        timings=timings,
-        workers=workers,
-        worker_cpu_s=worker_cpu_s,
+        **scored,
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -116,11 +117,25 @@ def run_pipeline(v: CfaImage, spec: PipelineSpec, timings: dict | None = None) -
 
     `timings`, when given, accumulates wall-clock seconds per stage under
     the keys "dn1", "dm", "dn2".  A zero blend weight prunes its denoiser.
-    A caller that scores several specs with one `dm_key` on one mosaic can
-    run `demosaic_stage` once and `denoise_stage` per spec: the results are
-    bit-identical to this function's.
+    Specs with one `dm_key`, DN1, DM and vst setting can share one
+    `demosaic_stage` result, bit-identical to this function's (`score_specs`).
     """
     return denoise_stage(demosaic_stage(v, spec, timings), spec, timings)
+
+
+def score_specs(v: CfaImage, truth: ColorImage, specs, timings: dict | None = None) -> list[float]:
+    """`cpsnr(run_pipeline(v, spec), truth)` for each spec, bit for bit.
+
+    Consecutive specs with the same DN1, DM, vst setting and `dm_key` share
+    one `demosaic_stage` result, dropped before the next one is computed.
+    """
+    scores = []
+    for _, run in groupby(specs, key=lambda s: (s.dn1, s.dm, s.vst, dm_key(s.params))):
+        run = list(run)
+        u_dm = demosaic_stage(v, run[0], timings)
+        scores += [cpsnr(denoise_stage(u_dm, spec, timings), truth) for spec in run]
+        del u_dm
+    return scores
 
 
 def preset(name: str, sigma: float) -> PipelineParams:
@@ -136,6 +151,15 @@ def preset(name: str, sigma: float) -> PipelineParams:
     raise DomainError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
 
 
+def sweep_k_specs(dm: DemosaicerId, dn: DenoiserId, sigma: float, k_list: list[float]) -> list[PipelineSpec]:
+    """The demosaic-then-denoise specs at sigma2 = k * sigma, one per k; one `dm_key`."""
+    if not k_list:
+        raise DomainError("k_list must be non-empty")
+    if any(k < 0 for k in k_list):
+        raise DomainError("k values must be >= 0")
+    return [PipelineSpec(PipelineParams(0.0, 1.0, 0.0, k * sigma), dm=dm, dn2=dn) for k in k_list]
+
+
 def sweep_k(
     v: CfaImage,
     ground_truth: ColorImage,
@@ -149,13 +173,7 @@ def sweep_k(
     Duplicate k values produce duplicate rows.
     """
     k_list = list(k_list)
-    if not k_list:
-        raise DomainError("k_list must be non-empty")
-    if any(k < 0 for k in k_list):
-        raise DomainError("k values must be >= 0")
-    specs = [PipelineSpec(PipelineParams(0.0, 1.0, 0.0, k * sigma), dm=dm, dn2=dn) for k in k_list]
-    u_dm = demosaic_stage(v, specs[0])  # alpha = 0: one DM(v) serves every k
-    return [(float(k), cpsnr(denoise_stage(u_dm, spec), ground_truth)) for k, spec in zip(k_list, specs)]
+    return list(zip(map(float, k_list), score_specs(v, ground_truth, sweep_k_specs(dm, dn, sigma, k_list))))
 
 
 def generalize_by_sigma(

@@ -100,6 +100,7 @@ def test_single_stage_commands_time_the_write_apart(tmp_path, monkeypatch):
 
     monkeypatch.setattr(formats, "write_image", slow_write)
     for argv, name in (
+        (("mosaic", "--input", src), "mosaic"),
         (("noise", "--input", cfa, "--sigma", 10), "noise"),
         (("demosaic", "--input", cfa), "dm"),
         (("denoise", "--input", cfa, "--method", "dct8", "--sigma", 10, "--cfa"), "dn"),
@@ -241,9 +242,9 @@ def test_a_dead_worker_exits_3_without_a_traceback(tmp_path, dataset_dir, monkey
     def die(*args):
         if os.getpid() != parent:  # only ever in a worker: in this process it would end the session
             os._exit(1)
-        pytest.fail("sweep_k ran in the command's process")
+        pytest.fail("score_specs ran in the command's process")
 
-    monkeypatch.setattr(cli, "sweep_k", die)
+    monkeypatch.setattr(cli, "score_specs", die)
     out = tmp_path / "sweep.csv"
     assert run("pipeline", "sweep-k", "--dataset", dataset_dir, "--sigma", 20, "--jobs", 2, "--out", out) == 3
     err = capsys.readouterr().err
@@ -327,6 +328,21 @@ def test_sweep_k_csv(tmp_path, dataset_dir):
         spec = PipelineSpec(PipelineParams(0.0, 1.0, 0.0, k * 20.0))
         scores = [cpsnr(reference_pipeline(v, spec), images[i]) for i, _, v in captures]
         assert row[1] == f"{math.fsum(scores) / len(scores):.6f}"
+
+
+def test_eval_and_sweep_k_manifests_keep_their_layout(tmp_path, dataset_dir):
+    assert run("eval", "--dataset", dataset_dir, "--sigmas", 20, "--out", tmp_path / "e") == 0
+    assert run("pipeline", "sweep-k", "--dataset", dataset_dir, "--sigma", 20, "--k-list", "1,1.5",
+               "--out", tmp_path / "k.csv") == 0
+    head = ["command", "cwd", "subcommand", "config", "outputs", "env", "master_seed", "per_image_seeds"]
+    tail = ["per_image_metrics", "aggregate_metrics", "timings", "workers", "worker_cpu_s"]
+    for manifest, components, timings in (
+        (tmp_path / "e" / "eval.manifest.json", ["components"], ["total", "dn1", "dm", "dn2"]),
+        (tmp_path / "k.manifest.json", [], ["total", "dm", "dn2"]),  # dmdn at every k: no DN1
+    ):
+        payload = json.loads(manifest.read_text())
+        assert list(payload) == head + components + tail
+        assert list(payload["timings"]) == timings
 
 
 def test_rmse_table_csv(tmp_path, dataset_dir):
@@ -657,13 +673,31 @@ def test_each_image_noise_field_is_drawn_once(tmp_path, dataset_dir, monkeypatch
     assert len(draws) == 2  # not one per (image, sigma, preset)
 
 
+def _forbid_work(monkeypatch):
+    """Fail the test if the command loads its dataset or runs a pipeline stage."""
+    for module, name in ((cli, "_load_dataset"), (cli, "run_pipeline"), (pipeline, "demosaic_stage"),
+                         (pipeline, "denoise_stage")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("the command started its work"))
+
+
 def test_eval_checks_every_preset_before_running_a_pipeline(tmp_path, dataset_dir, monkeypatch, capsys):
-    for name in ("run_pipeline", "demosaic_stage", "denoise_stage"):
-        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("a pipeline ran"))
+    _forbid_work(monkeypatch)
     # dm15dn at sigma 200 asks for sigma2 = 300
     assert run("eval", "--dataset", dataset_dir, "--sigmas", "5,200", "--out", tmp_path / "e") == 4
     assert "sigma2 must be in [0, 255], got 300.0" in capsys.readouterr().err
     assert not (tmp_path / "e").exists()
+
+
+def test_sweep_k_checks_every_factor_before_loading_the_dataset(tmp_path, dataset_dir, monkeypatch, capsys):
+    _forbid_work(monkeypatch)
+    for sigma, k_list, message in (
+        (200, "1,1.5", "sigma2 must be in [0, 255], got 300.0"),
+        (0, "-1", "k values must be >= 0"),  # k * sigma = -0.0 is in range: only the k rule rejects it
+    ):
+        argv = ("pipeline", "sweep-k", "--dataset", dataset_dir, "--sigma", sigma, f"--k-list={k_list}")
+        assert run(*argv, "--out", tmp_path / "k.csv") == 4
+        assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
 def test_readme_cli_examples_parse():

@@ -191,6 +191,49 @@ def test_one_demosaic_stage_serves_every_spec_with_its_dm_key(first, second, sha
         assert np.array_equal(out.planes, run_pipeline(v, s2).planes)
 
 
+_specs = st.builds(
+    PipelineSpec, _params, dn1=_denoisers, dm=st.sampled_from(["ha", "bilinear"]), dn2=_denoisers, vst=st.booleans()
+)
+
+
+# How a spec takes one of its predecessor's DM-sharing fields.
+_TAKE = {
+    "dn1": lambda spec, prev: replace(spec, dn1=prev.dn1),
+    "dm": lambda spec, prev: replace(spec, dm=prev.dm),
+    "vst": lambda spec, prev: replace(spec, vst=prev.vst),
+    # at alpha = 0 sigma1 may still differ
+    "dm_key": lambda spec, prev: replace(spec, params=replace(
+        spec.params, alpha=prev.params.alpha,
+        sigma1=prev.params.sigma1 if prev.params.alpha != 0.0 else spec.params.sigma1)),
+}
+
+
+@st.composite
+def _spec_runs(draw):
+    """1-4 specs; each takes all, all but one or none of its predecessor's DM-sharing fields."""
+    specs = [draw(_specs)]
+    for spec in draw(st.lists(_specs, max_size=3)):
+        own = draw(st.sampled_from(["all", "none", *_TAKE]))  # the fields it keeps as drawn
+        for name, take in _TAKE.items():
+            if own not in ("all", name):
+                spec = take(spec, specs[-1])
+        specs.append(spec)
+    return specs
+
+
+@settings(max_examples=60)
+@given(_spec_runs())
+def test_score_specs_demosaics_once_per_run_of_shared_dm(specs):
+    v, truth = noisy_cfa(12, sigma=5.0, size=16)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "demosaic", lambda *a: calls.append(1) or demosaic(*a))
+        scores = pipeline.score_specs(v, truth, specs)
+    assert scores == [cpsnr(reference_pipeline(v, spec), truth) for spec in specs]
+    keys = [(s.dn1, s.dm, s.vst, dm_key(s.params)) for s in specs]
+    assert len(calls) == 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+
+
 def test_sweep_k_demosaics_once(monkeypatch):
     v, truth = noisy_cfa(15)
     calls = []
