@@ -2,8 +2,8 @@
 
 Every file-producing subcommand writes a JSON manifest next to its outputs
 recording the exact argv, resolved configuration, seeds, per-image and
-aggregate metrics, and wall-clock timings: per stage, except that `tune`
-and `rmse-table` record one total and `stats` none.  `dmdn rerun
+aggregate metrics, and wall-clock timings: per stage, worker processes'
+included, except that `rmse-table` records one total.  `dmdn rerun
 --manifest M` re-executes the recorded command in its recorded directory;
 on the same machine this reproduces all aggregate metrics bit for bit.
 
@@ -30,13 +30,14 @@ from . import __version__, formats
 from .analysis import cpsnr, noise_stats, residual, rmse_table
 from .demosaic import DemosaicerId, demosaic
 from .denoise import DenoiseConfig, DenoiserId, denoise_cfa, denoise_rgb
-from .image import ColorImage, DomainError, GrayImage
+from .image import SIGMA_RANGE, ColorImage, DomainError, GrayImage, check_range
 from .mosaic import PHASES, CfaImage, mosaick
 from .noise import NoiseSpec, add_awgn, derive_seed, noisy_mosaics, poisson_sample
 from .optimize import CmaConfig, ordered_map, tune_pipeline, usable_cpus
 from .pipeline import (
     PARAMETERS,
     PRESET_NAMES,
+    STAGE_SECONDS,
     PipelineParams,
     PipelineSpec,
     preset,
@@ -180,8 +181,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_finite_or_none(payload), indent=2, allow_nan=False) + "\n")
 
 
-def _write_manifest(args, outputs: list[Path], **extra) -> None:
-    """Record argv, resolved flags, outputs and `extra` next to the first output."""
+def _write_manifest(args, outputs: list[Path], workers: int | None = None, **extra) -> None:
+    """Record argv, resolved flags, outputs, `extra` and the stage record next to the first output.
+
+    Given `workers`, also record it and the CPU seconds of the command's ended child processes.
+    """
     config = {
         k: v
         for k, v in vars(args).items()
@@ -196,7 +200,10 @@ def _write_manifest(args, outputs: list[Path], **extra) -> None:
         "outputs": [str(o) for o in outputs],
         "env": _environment(args),
         **extra,
+        "timings": dict(STAGE_SECONDS),
     }
+    if workers is not None:
+        payload.update(workers=workers, worker_cpu_s=_children_cpu_s() - args._children_cpu_start)
     _write_json(outputs[0].with_name(outputs[0].stem + ".manifest.json"), payload)
 
 
@@ -222,29 +229,22 @@ def _score_dataset(args, dataset, sigmas: list[float], tables: list[dict[str, Pi
     """Score every image's capture at `sigmas[j]` with each spec of `tables[j]`, {metric: spec}.
 
     Returns the manifest fields from `per_image_metrics` on: the scores, their
-    means over the images, the stage timings summed over all tasks, and the workers.
+    means over the images, and the workers.
     """
 
     def one(task):
         index, j, noisy = task
-        timings: dict = {}
-        scores = score_specs(noisy, dataset[index][1], tables[j].values(), timings)
-        return dataset[index][0], dict(zip(tables[j], scores)), timings
+        scores = score_specs(noisy, dataset[index][1], tables[j].values())
+        return dataset[index][0], dict(zip(tables[j], scores))
 
-    worker_cpu_s = -_children_cpu_s()
-    tasks = len(dataset) * len(sigmas)
-    with stage({}, "total") as timings, ordered_map(one, args.jobs, tasks) as (workers, run):
+    with stage("total"), ordered_map(one, args.jobs, len(dataset) * len(sigmas)) as (workers, run):
         results = run(noisy_mosaics([img for _, img in dataset], sigmas, args.seed, args.phase))
-    worker_cpu_s += _children_cpu_s()
 
     per_image: dict = {name: {} for name, _ in dataset}
-    for name, scores, task_timings in results:
+    for name, scores in results:
         per_image[name].update(scores)
-        for key, seconds in task_timings.items():
-            timings[key] = timings.get(key, 0.0) + seconds
     means = {key: math.fsum(s[key] for s in per_image.values()) / len(dataset) for t in tables for key in t}
-    return dict(per_image_metrics=per_image, aggregate_metrics=means, timings=timings, workers=workers,
-                worker_cpu_s=worker_cpu_s)
+    return dict(per_image_metrics=per_image, aggregate_metrics=means, workers=workers)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -253,34 +253,34 @@ def _score_dataset(args, dataset, sigmas: list[float], tables: list[dict[str, Pi
 def cmd_mosaic(args) -> None:
     img = _read_color(args.input)
     out = Path(args.out)
-    with stage({}, "mosaic") as timings:
+    with stage("mosaic"):
         cfa = mosaick(img, args.phase)
-    with stage(timings, "write"):
+    with stage("write"):
         formats.write_image(out, cfa)
-    _write_manifest(args, [out], timings=timings)
+    _write_manifest(args, [out])
 
 
 def cmd_noise(args) -> None:
     img = formats.read_image(args.input)
     out = Path(args.out)
-    with stage({}, "noise") as timings:
+    with stage("noise"):
         if args.poisson:
             noisy = poisson_sample(img, args.seed)
         else:
             noisy = add_awgn(img, NoiseSpec(args.sigma, args.seed))
-    with stage(timings, "write"):
+    with stage("write"):
         formats.write_image(out, noisy)
-    _write_manifest(args, [out], master_seed=args.seed, timings=timings)
+    _write_manifest(args, [out], master_seed=args.seed)
 
 
 def cmd_demosaic(args) -> None:
     cfa = _cfa_input(args.input)
     out = Path(args.out)
-    with stage({}, "dm") as timings:
+    with stage("dm"):
         rgb = demosaic(cfa, args.method)
-    with stage(timings, "write"):
+    with stage("write"):
         formats.write_image(out, rgb)
-    _write_manifest(args, [out], timings=timings)
+    _write_manifest(args, [out])
 
 
 def cmd_denoise(args) -> None:
@@ -292,29 +292,23 @@ def cmd_denoise(args) -> None:
         raise DomainError(f"{args.input}: denoise needs a color image (or --cfa)")
     out = Path(args.out)
     denoise = denoise_cfa if args.cfa else denoise_rgb
-    with stage({}, "dn") as timings:
+    with stage("dn"):
         clean = denoise(img, args.method, cfg)
-    with stage(timings, "write"):
+    with stage("write"):
         formats.write_image(out, clean)
-    _write_manifest(args, [out], timings=timings)
+    _write_manifest(args, [out])
 
 
 def cmd_pipeline_run(args) -> None:
     v = _cfa_input(args.input)
     spec = _spec_from_args(args, PipelineParams(*(getattr(args, name) for name in PARAMETERS)))
     truth = _read_color(args.truth) if args.truth else None
-    timings: dict = {}
-    out_img = run_pipeline(v, spec, timings=timings)
+    out_img = run_pipeline(v, spec)
     metrics = {} if truth is None else {"cpsnr": cpsnr(out_img, truth)}
     out = Path(args.out)
     formats.write_image(out, out_img)
-    _write_manifest(
-        args,
-        [out],
-        components={"dn1": args.dn1, "dm": args.dm, "dn2": args.dn2, "vst": spec.vst},
-        aggregate_metrics=metrics,
-        timings=timings,
-    )
+    components = {"dn1": args.dn1, "dm": args.dm, "dn2": args.dn2, "vst": spec.vst}
+    _write_manifest(args, [out], components=components, aggregate_metrics=metrics)
 
 
 def cmd_pipeline_preset(args) -> None:
@@ -335,14 +329,13 @@ def cmd_pipeline_sweep_k(args) -> None:
 
 
 def cmd_tune(args) -> None:
+    check_range("sigma", args.sigma, SIGMA_RANGE)
     out_dir = _usable_out(args.out, directory=True)
     dataset = _load_dataset(args.dataset)
     spec = _spec_from_args(args, PipelineParams(0.0, 0.0, 0.0, 0.0))
     cfg = CmaConfig(population=args.population, max_evals=args.max_evals, seed=args.seed)
-    worker_cpu_s = -_children_cpu_s()
-    with stage({}, "tune") as timings:
+    with stage("tune"):
         result = tune_pipeline([img for _, img in dataset], args.sigma, spec, cfg, args.phase, args.jobs)
-    worker_cpu_s += _children_cpu_s()
 
     out_dir.mkdir(parents=True, exist_ok=True)
     result_path = out_dir / "tune_result.json"
@@ -371,13 +364,11 @@ def cmd_tune(args) -> None:
         master_seed=args.seed,
         per_image_seeds=_image_seeds(args.seed, dataset),
         aggregate_metrics={"best_cpsnr": result.best_value},
-        timings=timings,
         workers=result.workers,
-        worker_cpu_s=worker_cpu_s,
     )
     print(
         f"tune: {result.termination} after {result.evaluations} evaluations in {result.generations} "
-        f"generations, best CPSNR {result.best_value:.4f} dB, {timings['tune']:.1f} s",
+        f"generations, best CPSNR {result.best_value:.4f} dB, {STAGE_SECONDS['tune']:.1f} s",
         file=sys.stderr,
     )
 
@@ -389,7 +380,8 @@ def cmd_stats(args) -> None:
         res = residual(_read_color(args.estimate), _read_color(args.truth))
     else:
         raise DomainError("stats needs either --residual or both --estimate and --truth")
-    stats = noise_stats(res, space=args.space, border_crop=args.crop, max_lag=args.lags)
+    with stage("stats"):
+        stats = noise_stats(res, space=args.space, border_crop=args.crop, max_lag=args.lags)
 
     lags = [(s, t) for s in range(args.lags + 1) for t in range(args.lags + 1)]
     rows = [
@@ -417,20 +409,17 @@ def cmd_stats(args) -> None:
 
 
 def cmd_rmse_table(args) -> None:
+    for sigma in args.sigmas:
+        check_range("sigma", sigma, SIGMA_RANGE)
     _distinct_labels("--sigmas", "noise level", args.sigmas)
     out = _usable_out(args.out, directory=False)
     dataset = _load_dataset(args.dataset)
-    with stage({}, "rmse_table") as timings:
+    with stage("rmse_table"):
         rows = rmse_table([img for _, img in dataset], args.method, args.sigmas, args.seed, phase=args.phase)
     _write_csv(out, ["sigma", "mean_rmse"], ([sigma, f"{value:.6f}"] for sigma, value in rows))
-    _write_manifest(
-        args,
-        [out],
-        master_seed=args.seed,
-        per_image_seeds=_image_seeds(args.seed, dataset),
-        aggregate_metrics={f"rmse_sigma{s:g}": v for s, v in rows},
-        timings=timings,
-    )
+    metrics = {f"rmse_sigma{s:g}": v for s, v in rows}
+    _write_manifest(args, [out], master_seed=args.seed, per_image_seeds=_image_seeds(args.seed, dataset),
+                    aggregate_metrics=metrics)
 
 
 def cmd_eval(args) -> None:
@@ -626,6 +615,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._argv = argv
     args._malloc = malloc
+    STAGE_SECONDS.clear()  # a command's manifest records its own stages and workers only
+    args._children_cpu_start = _children_cpu_s()
     try:
         return args.func(args) or 0  # a command returns None on success
     except (OSError, formats.ImageFormatError, DomainError) as exc:

@@ -273,7 +273,7 @@ def poisson_sample(img, seed: int):
         if flat.size and flat.min() < 0:
             raise DomainError("poisson_sample requires nonnegative intensities")
         out = np.empty(flat.shape, dtype=np.float64)
-        for i, lam in enumerate(flat):
+        for i, lam in enumerate(flat.tolist()):
             if lam == 0.0:
                 out[i] = 0.0
             elif lam < 10.0:

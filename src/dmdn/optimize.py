@@ -23,6 +23,7 @@ from .denoise import DenoiseConfig, denoise_rgb
 from .image import ColorImage, DomainError
 from .noise import RngStream, noisy_mosaics
 from .pipeline import PARAMETERS, PipelineParams, PipelineSpec, demosaic_stage, denoise_stage, dm_key
+from .pipeline import STAGE_SECONDS, stage
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,9 @@ def usable_cpus() -> int:
 
 
 def _apply(item):
-    """A pool worker's task: its map's fn, which the worker's initializer set, on one item."""
-    return _apply.fn(item)
+    """A pool worker's task: the map's fn on one item, and the item's stage record; the initializer set fn."""
+    STAGE_SECONDS.clear()
+    return _apply.fn(item), dict(STAGE_SECONDS)
 
 
 @contextmanager
@@ -116,7 +118,8 @@ def ordered_map(fn, jobs: int, limit: int):
     inherit fn (a closure, which cannot be pickled) and whatever it holds;
     only items and results are pickled.  Items are drawn only as results are
     taken, at most two per worker ahead, so a generator's items (noisy
-    captures, say) are never all held at once.  Without fork, or with one
+    captures, say) are never all held at once.  Each worker's stage seconds
+    are added to this process's `STAGE_SECONDS`.  Without fork, or with one
     worker, the map runs in-process.  A worker that dies (killed, say) ends
     the map in an OSError.
     """
@@ -143,7 +146,10 @@ def ordered_map(fn, jobs: int, limit: int):
                         pending.append(pool.submit(_apply, item))
                         if len(pending) == 2 * workers:
                             results.append(pending.popleft().result())
-                    return results + [future.result() for future in pending]
+                    results += [future.result() for future in pending]
+                    for _, seconds in results:
+                        STAGE_SECONDS.update(seconds)
+                    return [result for result, _ in results]
 
                 try:
                     yield workers, run
@@ -327,7 +333,8 @@ def pipeline_objective(
             r = dm.planes - truth.planes
             m_dd = m_dr = 0.0
             if dn2:
-                d = denoise_rgb(dm, run_spec.dn2, DenoiseConfig(sigma=p.sigma2)).planes - dm.planes
+                with stage("dn2"):
+                    d = denoise_rgb(dm, run_spec.dn2, DenoiseConfig(sigma=p.sigma2)).planes - dm.planes
                 m_dd, m_dr = float(np.mean(d * d)), float(np.mean(d * r))
             memo[key] = (m_dd, m_dr, float(np.mean(r * r)))
         return memo[key]

@@ -11,6 +11,7 @@ recommended demosaic-first variant for white noise of known level.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import groupby
@@ -55,17 +56,18 @@ class PipelineSpec:
     vst: bool = False
 
 
-@contextmanager
-def stage(timings: dict | None, name: str):
-    """Add the wall-clock seconds of the `with` body to `timings[name]`, if given.
+# This process's stage record: wall-clock seconds per `stage` name, keys in
+# first-entry order.  `ordered_map` adds its workers' records to it.
+STAGE_SECONDS = Counter()
 
-    Yields `timings`, so `with stage({}, name) as timings:` starts a record.
-    """
-    clock = time.perf_counter
-    t0 = clock()
-    yield timings
-    if timings is not None:
-        timings[name] = timings.get(name, 0.0) + clock() - t0
+
+@contextmanager
+def stage(name: str):
+    """Add the wall-clock seconds of the `with` body to this process's `STAGE_SECONDS[name]`."""
+    STAGE_SECONDS.setdefault(name, 0.0)
+    t0 = time.perf_counter()
+    yield
+    STAGE_SECONDS[name] += time.perf_counter() - t0
 
 
 def dm_key(params: PipelineParams) -> tuple:
@@ -78,7 +80,7 @@ def dm_key(params: PipelineParams) -> tuple:
     return (0.0,) if params.alpha == 0.0 else (params.alpha, params.sigma1)
 
 
-def demosaic_stage(v: CfaImage, spec: PipelineSpec, timings: dict | None = None) -> ColorImage:
+def demosaic_stage(v: CfaImage, spec: PipelineSpec) -> ColorImage:
     """The first half of the blend: DM(alpha * DN1(v) + (1 - alpha) * v).
 
     With vst set, v is Anscombe-transformed first.  Alpha = 0 prunes DN1.
@@ -87,14 +89,14 @@ def demosaic_stage(v: CfaImage, spec: PipelineSpec, timings: dict | None = None)
     x = anscombe(v) if spec.vst else v
     plane = x.plane
     if p.alpha != 0.0:
-        with stage(timings, "dn1"):
+        with stage("dn1"):
             denoised = denoise_cfa(x, spec.dn1, DenoiseConfig(sigma=p.sigma1)).plane
         plane = p.alpha * denoised + (1.0 - p.alpha) * plane
-    with stage(timings, "dm"):
+    with stage("dm"):
         return demosaic(CfaImage(plane, x.phase), spec.dm)
 
 
-def denoise_stage(u_dm: ColorImage, spec: PipelineSpec, timings: dict | None = None) -> ColorImage:
+def denoise_stage(u_dm: ColorImage, spec: PipelineSpec) -> ColorImage:
     """The second half: beta * DN2(u_dm) + (1 - beta) * u_dm.
 
     With vst set, the Anscombe inverse is applied last.  Beta = 0 prunes DN2.
@@ -102,28 +104,27 @@ def denoise_stage(u_dm: ColorImage, spec: PipelineSpec, timings: dict | None = N
     p = spec.params
     u_hat = u_dm
     if p.beta != 0.0:
-        with stage(timings, "dn2"):
+        with stage("dn2"):
             denoised = denoise_rgb(u_dm, spec.dn2, DenoiseConfig(sigma=p.sigma2)).planes
         u_hat = ColorImage(p.beta * denoised + (1.0 - p.beta) * u_dm.planes)
     return anscombe_inverse(u_hat) if spec.vst else u_hat
 
 
-def run_pipeline(v: CfaImage, spec: PipelineSpec, timings: dict | None = None) -> ColorImage:
+def run_pipeline(v: CfaImage, spec: PipelineSpec) -> ColorImage:
     """Evaluate the two-stage blend: `denoise_stage` of `demosaic_stage`.
 
     With vst set, the mosaic is Anscombe-transformed first, the sigma
     parameters are interpreted on the transformed scale, and the algebraic
     inverse is applied at the end.
 
-    `timings`, when given, accumulates wall-clock seconds per stage under
-    the keys "dn1", "dm", "dn2".  A zero blend weight prunes its denoiser.
+    Its stages are timed as "dn1", "dm" and "dn2"; a zero blend weight prunes its denoiser.
     Specs with one `dm_key`, DN1, DM and vst setting can share one
     `demosaic_stage` result, bit-identical to this function's (`score_specs`).
     """
-    return denoise_stage(demosaic_stage(v, spec, timings), spec, timings)
+    return denoise_stage(demosaic_stage(v, spec), spec)
 
 
-def score_specs(v: CfaImage, truth: ColorImage, specs, timings: dict | None = None) -> list[float]:
+def score_specs(v: CfaImage, truth: ColorImage, specs) -> list[float]:
     """`cpsnr(run_pipeline(v, spec), truth)` for each spec, bit for bit.
 
     Consecutive specs with the same DN1, DM, vst setting and `dm_key` share
@@ -132,8 +133,8 @@ def score_specs(v: CfaImage, truth: ColorImage, specs, timings: dict | None = No
     scores = []
     for _, run in groupby(specs, key=lambda s: (s.dn1, s.dm, s.vst, dm_key(s.params))):
         run = list(run)
-        u_dm = demosaic_stage(v, run[0], timings)
-        scores += [cpsnr(denoise_stage(u_dm, spec, timings), truth) for spec in run]
+        u_dm = demosaic_stage(v, run[0])
+        scores += [cpsnr(denoise_stage(u_dm, spec), truth) for spec in run]
         del u_dm
     return scores
 
@@ -153,6 +154,7 @@ def preset(name: str, sigma: float) -> PipelineParams:
 
 def sweep_k_specs(dm: DemosaicerId, dn: DenoiserId, sigma: float, k_list: list[float]) -> list[PipelineSpec]:
     """The demosaic-then-denoise specs at sigma2 = k * sigma, one per k; one `dm_key`."""
+    check_range("sigma", sigma, SIGMA_RANGE)
     if not k_list:
         raise DomainError("k_list must be non-empty")
     if any(k < 0 for k in k_list):

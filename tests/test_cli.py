@@ -229,6 +229,7 @@ def test_eval_jobs_parallel_matches_serial(tmp_path, dataset_dir, monkeypatch):
             manifest = json.loads(first.with_name(first.stem + ".manifest.json").read_text())
             assert manifest["workers"] == jobs
             assert manifest["worker_cpu_s"] >= 0.0
+            assert {"dm", "dn2"} <= set(manifest["timings"])  # the workers' stages, at every --jobs
             outputs.append(
                 ([(root / f).read_bytes() for f in files], manifest.get("per_image_metrics"), manifest["aggregate_metrics"])
             )
@@ -380,6 +381,7 @@ def test_stats_csv_layout(tmp_path, dataset_dir):
     assert kinds == {"covariance", "correlation", "cross_covariance", "cross_correlation"}
     y_corr = next(r for r in rows if r[:2] == ["correlation", "Y"])
     assert float(y_corr[2]) == pytest.approx(1.0)
+    assert set(json.loads((tmp_path / "stats.manifest.json").read_text())["timings"]) == {"stats"}
 
 
 def test_tune_outputs(tmp_path, capsys):
@@ -698,6 +700,18 @@ def test_sweep_k_checks_every_factor_before_loading_the_dataset(tmp_path, datase
         assert run(*argv, "--out", tmp_path / "k.csv") == 4
         assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("pipeline", "sweep-k", "--sigma", 300, "--k-list", 0),
+    ("tune", "--sigma", 300),
+    ("rmse-table", "--sigmas", "5,300"),
+])
+def test_dataset_commands_check_sigma_before_loading_the_dataset(tmp_path, monkeypatch, capsys, argv):
+    _forbid_work(monkeypatch)
+    assert run(*argv, "--dataset", tmp_path / "missing", "--out", tmp_path / "out") == 4
+    assert "sigma must be in [0, 255], got 300.0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_cli_examples_parse():

@@ -15,6 +15,7 @@ from dmdn.noise import NoiseSpec, add_awgn, anscombe, anscombe_inverse
 from dmdn.optimize import PIPELINE_BOUNDS
 from dmdn.pipeline import (
     PARAMETERS,
+    STAGE_SECONDS,
     PipelineParams,
     PipelineSpec,
     demosaic_stage,
@@ -135,10 +136,10 @@ def test_blend_is_affine_in_alpha():
 
 def test_timings_report_stages():
     v, _ = noisy_cfa(6)
-    timings = {}
-    run_pipeline(v, PipelineSpec(PipelineParams(0.5, 0.5, 10.0, 10.0)), timings=timings)
-    assert set(timings) == {"dn1", "dm", "dn2"}
-    assert all(t >= 0.0 for t in timings.values())
+    STAGE_SECONDS.clear()
+    run_pipeline(v, PipelineSpec(PipelineParams(0.5, 0.5, 10.0, 10.0)))
+    assert list(STAGE_SECONDS) == ["dn1", "dm", "dn2"]
+    assert all(t >= 0.0 for t in STAGE_SECONDS.values())
 
 
 # ------------------------------------------------------------- the two stages
@@ -175,7 +176,8 @@ def test_one_demosaic_stage_serves_every_spec_with_its_dm_key(first, second, sha
     v, _ = noisy_cfa(12, sigma=5.0, size=16)
     s1, s2 = (PipelineSpec(p, dn1=dn1, dn2=dn2, vst=vst) for p in (first, second))
     u_dm = demosaic_stage(v, s1)
-    computed, timings = [], {}
+    computed = []
+    STAGE_SECONDS.clear()
 
     def watch(stage_name, fn):
         return lambda *args, **kwargs: computed.append(stage_name) or fn(*args, **kwargs)
@@ -183,10 +185,10 @@ def test_one_demosaic_stage_serves_every_spec_with_its_dm_key(first, second, sha
     with pytest.MonkeyPatch.context() as mp:
         for name, func in STAGE_FUNCTIONS.items():
             mp.setattr(pipeline, func, watch(name, getattr(pipeline, func)))
-        out = denoise_stage(u_dm, s2, timings)
+        out = denoise_stage(u_dm, s2)
     # The second half runs DN2 when beta > 0, and times only that.
     ran = ["dn2"] if second.beta != 0.0 else []
-    assert computed == ran and sorted(timings) == ran
+    assert computed == ran and sorted(STAGE_SECONDS) == ran
     if dm_key(first) == dm_key(second):
         assert np.array_equal(out.planes, run_pipeline(v, s2).planes)
 
@@ -289,6 +291,8 @@ def test_sweep_k_keeps_duplicates_and_validates():
         sweep_k(v, truth, "ha", "dct8", 20.0, [])
     with pytest.raises(DomainError):
         sweep_k(v, truth, "ha", "dct8", 20.0, [-0.5])
+    with pytest.raises(DomainError, match="sigma must be in"):  # even where k = 0 leaves sigma2 in range
+        sweep_k(v, truth, "ha", "dct8", 300.0, [0.0])
 
 
 # ---------------------------------------------------------- generalization
