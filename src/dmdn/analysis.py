@@ -18,6 +18,7 @@ import numpy as np
 from .demosaic import demosaic
 from .image import ColorImage, DomainError, opponent_planes
 from .noise import noisy_mosaics
+from .stages import stage
 
 RGB_CHANNELS = ("R", "G", "B")
 OPPONENT_CHANNELS = ("Y", "C1", "C2")
@@ -145,8 +146,8 @@ def amplification_factor(stats: NoiseStats, sigma: float) -> float:
     """sqrt(Var(Y)) / sigma: how much the luminance noise grew."""
     if stats.color_space != "yc1c2":
         raise DomainError("amplification_factor requires YC1C2 statistics")
-    if sigma <= 0:
-        raise DomainError("sigma must be positive")
+    if not 0 < sigma < math.inf:  # NaN fails too
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
     return math.sqrt(stats.variance[0]) / sigma
 
 
@@ -170,7 +171,8 @@ def rmse_table(
     for index, k, noisy in noisy_mosaics(dataset, sigma_list, seed, phase):
         # rmse of the clipped image, in one buffer (squaring erases the sign
         # of a zero, where this may differ from np.clip).
-        err = np.maximum(demosaic(noisy, demosaicer).planes, 0.0)
+        with stage("dm"):
+            err = np.maximum(demosaic(noisy, demosaicer).planes, 0.0)
         np.minimum(err, 255.0, out=err)
         err -= dataset[index].planes
         err *= err

@@ -2,10 +2,10 @@
 
 Every file-producing subcommand writes a JSON manifest next to its outputs
 recording the exact argv, resolved configuration, seeds, per-image and
-aggregate metrics, and wall-clock timings: per stage, worker processes'
-included, except that `rmse-table` records one total.  `dmdn rerun
---manifest M` re-executes the recorded command in its recorded directory;
-on the same machine this reproduces all aggregate metrics bit for bit.
+aggregate metrics, and wall-clock timings per stage, worker processes'
+included.  `dmdn rerun --manifest M` re-executes the recorded command in its
+recorded directory; on the same machine this reproduces all aggregate
+metrics bit for bit.
 
 Exit codes: 0 success, 2 argument errors, 3 I/O errors (missing or
 malformed files, a worker process that died), 4 domain errors (invalid values).
@@ -33,19 +33,10 @@ from .denoise import DenoiseConfig, DenoiserId, denoise_cfa, denoise_rgb
 from .image import SIGMA_RANGE, ColorImage, DomainError, GrayImage, check_range
 from .mosaic import PHASES, CfaImage, mosaick
 from .noise import NoiseSpec, add_awgn, derive_seed, noisy_mosaics, poisson_sample
-from .optimize import CmaConfig, ordered_map, tune_pipeline, usable_cpus
-from .pipeline import (
-    PARAMETERS,
-    PRESET_NAMES,
-    STAGE_SECONDS,
-    PipelineParams,
-    PipelineSpec,
-    preset,
-    run_pipeline,
-    score_specs,
-    stage,
-    sweep_k_specs,
-)
+from .optimize import CmaConfig, tune_pipeline
+from .pipeline import PARAMETERS, PRESET_NAMES, PipelineParams, PipelineSpec, preset, run_pipeline
+from .pipeline import score_specs, sweep_k_specs
+from .stages import STAGE_SECONDS, ordered_map, stage, usable_cpus
 
 EXIT_IO = 3
 EXIT_DOMAIN = 4
@@ -374,12 +365,12 @@ def cmd_tune(args) -> None:
 
 
 def cmd_stats(args) -> None:
-    if args.residual:
+    if args.residual and not (args.estimate or args.truth):
         res = _read_color(args.residual)
-    elif args.estimate and args.truth:
+    elif args.estimate and args.truth and not args.residual:
         res = residual(_read_color(args.estimate), _read_color(args.truth))
     else:
-        raise DomainError("stats needs either --residual or both --estimate and --truth")
+        raise DomainError("stats needs either --residual alone or both --estimate and --truth")
     with stage("stats"):
         stats = noise_stats(res, space=args.space, border_crop=args.crop, max_lag=args.lags)
 

@@ -11,9 +11,6 @@ package's own seeded generator, so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,8 +19,8 @@ from .analysis import cpsnr, cpsnr_from_mse
 from .denoise import DenoiseConfig, denoise_rgb
 from .image import ColorImage, DomainError
 from .noise import RngStream, noisy_mosaics
-from .pipeline import PARAMETERS, PipelineParams, PipelineSpec, demosaic_stage, denoise_stage, dm_key
-from .pipeline import STAGE_SECONDS, stage
+from .pipeline import PARAMETERS, PipelineParams, PipelineSpec, denoise_stage, dm_key, held_demosaic
+from .stages import ordered_map, stage
 
 
 @dataclass(frozen=True)
@@ -95,68 +92,6 @@ def _recombination_weights(lam: int, mu: int) -> tuple[np.ndarray, float]:
     weights = raw / raw.sum()
     mueff = 1.0 / np.sum(weights**2)
     return weights, float(mueff)
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _apply(item):
-    """A pool worker's task: the map's fn on one item, and the item's stage record; the initializer set fn."""
-    STAGE_SECONDS.clear()
-    return _apply.fn(item), dict(STAGE_SECONDS)
-
-
-@contextmanager
-def ordered_map(fn, jobs: int, limit: int):
-    """Yield (workers, run), where run(items) is [fn(item) for item in items] in order.
-
-    Up to min(jobs, limit, usable CPUs) forked worker processes share the
-    map, one pool for the whole context.  Fork, not spawn, lets the workers
-    inherit fn (a closure, which cannot be pickled) and whatever it holds;
-    only items and results are pickled.  Items are drawn only as results are
-    taken, at most two per worker ahead, so a generator's items (noisy
-    captures, say) are never all held at once.  Each worker's stage seconds
-    are added to this process's `STAGE_SECONDS`.  Without fork, or with one
-    worker, the map runs in-process.  A worker that dies (killed, say) ends
-    the map in an OSError.
-    """
-    workers = min(jobs, limit, usable_cpus())
-    if workers > 1:
-        import multiprocessing  # lazily: the import costs ~14 ms of every CLI start
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            # The executor, not multiprocessing.Pool: a killed worker raises
-            # BrokenProcessPool instead of hanging the map.  Leaving the block
-            # shuts the pool down and joins every worker, also when fn raised.
-            with ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=setattr,
-                initargs=(_apply, "fn", fn),
-            ) as pool:
-
-                def run(items):
-                    pending, results = deque(), []
-                    for item in items:
-                        pending.append(pool.submit(_apply, item))
-                        if len(pending) == 2 * workers:
-                            results.append(pending.popleft().result())
-                    results += [future.result() for future in pending]
-                    for _, seconds in results:
-                        STAGE_SECONDS.update(seconds)
-                    return [result for result, _ in results]
-
-                try:
-                    yield workers, run
-                except BrokenProcessPool:
-                    raise OSError("a worker process ended abruptly: killed when out of memory, say") from None
-            return
-    yield 1, lambda items: [fn(item) for item in items]
 
 
 def cmaes_maximize(objective, bounds: BoxBounds, cfg: CmaConfig, jobs: int = 1) -> TuneResult:
@@ -294,7 +229,7 @@ def pipeline_objective(
     times per image instead of 38.  Every point, hit or miss, is scored from
     its moments, so the value does not depend on the order of evaluation;
     a sum that rounding leaves at or below 0 scores +inf, as an MSE of 0
-    does in `cpsnr`.  Each mosaic also holds its last DM result, so memo
+    does in `cpsnr`.  Each mosaic also has a `held_demosaic` slot, so memo
     misses in a row with one `dm_key` run DN1 and DM once.
 
     Against direct scoring, cpsnr(run_pipeline(v, spec), truth), the
@@ -317,19 +252,12 @@ def pipeline_objective(
     captures = noisy_mosaics(dataset, [sigma], noise_seed, phase)
     frozen = [(v, dataset[i], {}, {}) for i, _, v in captures]  # mosaic, truth, held DM result, memo
 
-    def demosaiced(v, held, run_spec):
-        key = dm_key(run_spec.params)
-        if key not in held:
-            held.clear()  # drop the old result before computing the next: never two
-            held[key] = demosaic_stage(v, run_spec)
-        return held[key]
-
     def moments(v, truth, held, memo, run_spec):
         p = run_spec.params
         dn2 = p.beta != 0.0 and p.sigma2 != 0.0
         key = dm_key(p) + (p.sigma2 if dn2 else 0.0,)
         if key not in memo:
-            dm = demosaiced(v, held, run_spec)
+            dm = held_demosaic(v, run_spec, held)
             r = dm.planes - truth.planes
             m_dd = m_dr = 0.0
             if dn2:
@@ -344,7 +272,7 @@ def pipeline_objective(
         run_spec = replace(spec, params=params)
         if spec.vst:  # the Anscombe inverse is nonlinear: MSE is not quadratic in beta
             values = [
-                cpsnr(denoise_stage(demosaiced(v, held, run_spec), run_spec), u) for v, u, held, _ in frozen
+                cpsnr(denoise_stage(held_demosaic(v, run_spec, held), run_spec), u) for v, u, held, _ in frozen
             ]
         else:
             b = params.beta

@@ -10,11 +10,7 @@ recommended demosaic-first variant for white noise of known level.
 
 from __future__ import annotations
 
-import time
-from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -24,6 +20,7 @@ from .denoise import DenoiseConfig, DenoiserId, denoise_cfa, denoise_rgb
 from .image import SIGMA_RANGE, ColorImage, DomainError, check_range
 from .mosaic import CfaImage
 from .noise import anscombe, anscombe_inverse
+from .stages import stage
 
 PRESET_NAMES = ("dndm", "dmdn", "dm15dn")
 
@@ -56,20 +53,6 @@ class PipelineSpec:
     vst: bool = False
 
 
-# This process's stage record: wall-clock seconds per `stage` name, keys in
-# first-entry order.  `ordered_map` adds its workers' records to it.
-STAGE_SECONDS = Counter()
-
-
-@contextmanager
-def stage(name: str):
-    """Add the wall-clock seconds of the `with` body to this process's `STAGE_SECONDS[name]`."""
-    STAGE_SECONDS.setdefault(name, 0.0)
-    t0 = time.perf_counter()
-    yield
-    STAGE_SECONDS[name] += time.perf_counter() - t0
-
-
 def dm_key(params: PipelineParams) -> tuple:
     """What `demosaic_stage`'s result depends on besides the mosaic and operators.
 
@@ -87,13 +70,26 @@ def demosaic_stage(v: CfaImage, spec: PipelineSpec) -> ColorImage:
     """
     p = spec.params
     x = anscombe(v) if spec.vst else v
-    plane = x.plane
     if p.alpha != 0.0:
         with stage("dn1"):
             denoised = denoise_cfa(x, spec.dn1, DenoiseConfig(sigma=p.sigma1)).plane
-        plane = p.alpha * denoised + (1.0 - p.alpha) * plane
+        x = CfaImage(p.alpha * denoised + (1.0 - p.alpha) * x.plane, x.phase)
     with stage("dm"):
-        return demosaic(CfaImage(plane, x.phase), spec.dm)
+        return demosaic(x, spec.dm)
+
+
+def held_demosaic(v: CfaImage, spec: PipelineSpec, held: dict) -> ColorImage:
+    """`demosaic_stage(v, spec)`, kept in the caller's one-slot dict `held`.
+
+    The slot is keyed by DN1, DM, vst and `dm_key`, so any spec that agrees on
+    them gets the held result; the old result is dropped before the next one
+    is computed, so a caller never holds two.
+    """
+    key = (spec.dn1, spec.dm, spec.vst, dm_key(spec.params))
+    if key not in held:
+        held.clear()
+        held[key] = demosaic_stage(v, spec)
+    return held[key]
 
 
 def denoise_stage(u_dm: ColorImage, spec: PipelineSpec) -> ColorImage:
@@ -118,8 +114,7 @@ def run_pipeline(v: CfaImage, spec: PipelineSpec) -> ColorImage:
     inverse is applied at the end.
 
     Its stages are timed as "dn1", "dm" and "dn2"; a zero blend weight prunes its denoiser.
-    Specs with one `dm_key`, DN1, DM and vst setting can share one
-    `demosaic_stage` result, bit-identical to this function's (`score_specs`).
+    Specs can share one `demosaic_stage` result through `held_demosaic`, bit-identical to this function's.
     """
     return denoise_stage(demosaic_stage(v, spec), spec)
 
@@ -127,16 +122,10 @@ def run_pipeline(v: CfaImage, spec: PipelineSpec) -> ColorImage:
 def score_specs(v: CfaImage, truth: ColorImage, specs) -> list[float]:
     """`cpsnr(run_pipeline(v, spec), truth)` for each spec, bit for bit.
 
-    Consecutive specs with the same DN1, DM, vst setting and `dm_key` share
-    one `demosaic_stage` result, dropped before the next one is computed.
+    Consecutive specs share one `held_demosaic` result where they can.
     """
-    scores = []
-    for _, run in groupby(specs, key=lambda s: (s.dn1, s.dm, s.vst, dm_key(s.params))):
-        run = list(run)
-        u_dm = demosaic_stage(v, run[0])
-        scores += [cpsnr(denoise_stage(u_dm, spec), truth) for spec in run]
-        del u_dm
-    return scores
+    held = {}
+    return [cpsnr(denoise_stage(held_demosaic(v, spec, held), spec), truth) for spec in specs]
 
 
 def preset(name: str, sigma: float) -> PipelineParams:
@@ -178,6 +167,12 @@ def sweep_k(
     return list(zip(map(float, k_list), score_specs(v, ground_truth, sweep_k_specs(dm, dn, sigma, k_list))))
 
 
+def _check_sigmas(sigma_star: float, sigma_ref: float) -> None:
+    for name, value in (("sigma_star", sigma_star), ("sigma_ref", sigma_ref)):
+        if not 0 < value < np.inf:  # NaN fails too
+            raise DomainError(f"sigma_star and sigma_ref must be positive and finite, got {name}={value}")
+
+
 def generalize_by_sigma(
     params_ref: PipelineParams, sigma_ref: float, sigma_star: float
 ) -> PipelineParams:
@@ -186,8 +181,7 @@ def generalize_by_sigma(
     Keeps the blend weights; sigma values scale by sigma_star/sigma_ref and
     clamp into SIGMA_RANGE.
     """
-    if sigma_star <= 0 or sigma_ref <= 0:
-        raise DomainError("sigma_star and sigma_ref must be positive")
+    _check_sigmas(sigma_star, sigma_ref)
     ratio = sigma_star / sigma_ref
     sigma1 = float(np.clip(params_ref.sigma1 * ratio, *SIGMA_RANGE))
     sigma2 = float(np.clip(params_ref.sigma2 * ratio, *SIGMA_RANGE))
@@ -206,8 +200,7 @@ def generalize_by_image(
     At sigma_star == sigma_ref this is bit-identical to running the
     reference parameters directly.
     """
-    if sigma_star <= 0 or sigma_ref <= 0:
-        raise DomainError("sigma_star and sigma_ref must be positive")
+    _check_sigmas(sigma_star, sigma_ref)
     spec = replace(spec, params=params_ref)
     scaled = CfaImage(v.plane * (sigma_ref / sigma_star), v.phase)
     out = run_pipeline(scaled, spec)

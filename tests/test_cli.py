@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import dmdn
-from dmdn import analysis, cli, formats, optimize, pipeline
+from dmdn import analysis, cli, formats, optimize, pipeline, stages
 from dmdn.analysis import cpsnr
 from dmdn.cli import build_parser, main
 from dmdn.image import ColorImage, GrayImage
@@ -214,7 +214,7 @@ def test_rerun_in_a_missing_recorded_directory_exits_3(tmp_path, monkeypatch, ca
 
 
 def test_eval_jobs_parallel_matches_serial(tmp_path, dataset_dir, monkeypatch):
-    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)  # two workers even on a one-CPU host
+    monkeypatch.setattr(stages, "usable_cpus", lambda: 2)  # two workers even on a one-CPU host
     for argv, out_name, files in (
         (("eval", "--sigmas", "10,20"), "eval", ["eval/eval.csv"]),
         (("pipeline", "sweep-k", "--sigma", 20, "--k-list", "1,1.5"), "sweep.csv", ["sweep.csv"]),
@@ -237,7 +237,7 @@ def test_eval_jobs_parallel_matches_serial(tmp_path, dataset_dir, monkeypatch):
 
 
 def test_a_dead_worker_exits_3_without_a_traceback(tmp_path, dataset_dir, monkeypatch, capsys):
-    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(stages, "usable_cpus", lambda: 2)
     parent = os.getpid()
 
     def die(*args):
@@ -357,6 +357,8 @@ def test_rmse_table_csv(tmp_path, dataset_dir):
         rows = list(csv.reader(fh))
     assert rows[0] == ["sigma", "mean_rmse"]
     assert float(rows[2][1]) >= float(rows[1][1])
+    timings = json.loads((tmp_path / "rmse.manifest.json").read_text())["timings"]
+    assert list(timings) == ["rmse_table", "dm"] and timings["dm"] > 0.0
 
 
 def test_stats_csv_layout(tmp_path, dataset_dir):
@@ -413,6 +415,15 @@ def test_tune_outputs(tmp_path, capsys):
     assert int(rows[-1][5]) == result["evaluations"]
     bests = [float(r[1]) for r in rows[1:]]
     assert all(x <= y for x, y in zip(bests, bests[1:]))
+
+
+@pytest.mark.parametrize("extra", [("--estimate",), ("--truth",), ("--estimate", "--truth")])
+def test_stats_rejects_residual_with_estimate_or_truth_before_reading_any_file(tmp_path, capsys, extra):
+    missing = tmp_path / "missing.pfm"  # exit 4, not 3: no file is read
+    argv = [arg for flag in ("--residual", *extra) for arg in (flag, missing)]
+    assert run("stats", *argv, "--out", tmp_path / "s.csv") == 4
+    assert "stats needs either --residual alone or both --estimate and --truth" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -553,7 +564,7 @@ def test_manifest_records_environment(tmp_path, dataset_dir):
         "numpy": np.__version__,
         "python": platform.python_version(),
         "platform": "-".join((platform.system(), platform.release(), platform.machine())),
-        "usable_cpus": optimize.usable_cpus(),
+        "usable_cpus": stages.usable_cpus(),
         "malloc": cli._reuse_freed_memory(),  # the same thresholds again, or None without mallopt
     }
     if env["malloc"] is not None:

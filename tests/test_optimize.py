@@ -1,16 +1,18 @@
+import ast
 import concurrent.futures
 import functools
 import math
 import multiprocessing
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmdn import optimize, pipeline
+from dmdn import optimize, pipeline, stages
 from dmdn.analysis import cpsnr
 from dmdn.image import ColorImage, DomainError
 from dmdn.noise import noisy_mosaics
@@ -19,11 +21,11 @@ from dmdn.optimize import (
     BoxBounds,
     CmaConfig,
     cmaes_maximize,
-    ordered_map,
     pipeline_objective,
     tune_pipeline,
 )
 from dmdn.pipeline import PRESET_NAMES, PipelineParams, PipelineSpec, preset, run_pipeline
+from dmdn.stages import ordered_map
 
 from conftest import count_calls, dm_key, make_natural, rosenbrock, sphere
 
@@ -69,7 +71,7 @@ def test_determinism_per_seed():
 
 
 def test_jobs_score_on_worker_processes_with_identical_result(monkeypatch):
-    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)  # two workers even on a one-CPU host
+    monkeypatch.setattr(stages, "usable_cpus", lambda: 2)  # two workers even on a one-CPU host
     cfg = CmaConfig(max_evals=600, seed=21)
     # A lambda objective works: forked workers inherit it, nothing pickles it.
     one, two = (dict(vars(cmaes_maximize(lambda x: -sphere(x), box(3), cfg, jobs))) for jobs in (1, 2))
@@ -80,7 +82,7 @@ def test_jobs_score_on_worker_processes_with_identical_result(monkeypatch):
 
 
 def test_worker_error_reaches_caller_and_no_worker_survives(monkeypatch):
-    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(stages, "usable_cpus", lambda: 2)
 
     def objective(x):
         if x[0] > 0:
@@ -109,7 +111,7 @@ def test_worker_count_is_capped_by_jobs_population_and_cpus(monkeypatch, cpus, m
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorder)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
-    monkeypatch.setattr(optimize, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(stages, "usable_cpus", lambda: cpus)
     cfg = CmaConfig(max_evals=16, seed=0)  # population 8 over four dimensions
     if workers is None:
         assert cmaes_maximize(lambda x: -sphere(x), box(4), cfg, jobs=10000).workers == 1
@@ -139,7 +141,7 @@ def test_ordered_map_worker_count_is_capped_by_jobs_limit_and_cpus(monkeypatch, 
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorder)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
-    monkeypatch.setattr(optimize, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(stages, "usable_cpus", lambda: cpus)
     if workers == 1:  # in-process
         with ordered_map(str, jobs, limit) as (count, run):
             assert (count, run(range(3))) == (1, ["0", "1", "2"])
@@ -150,7 +152,7 @@ def test_ordered_map_worker_count_is_capped_by_jobs_limit_and_cpus(monkeypatch, 
 
 
 def test_ordered_map_draws_items_only_as_results_are_taken(monkeypatch):
-    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(stages, "usable_cpus", lambda: 2)
     taken = []
     result = concurrent.futures.Future.result
     monkeypatch.setattr(concurrent.futures.Future, "result", lambda self: taken.append(self) or result(self))
@@ -170,7 +172,7 @@ def test_ordered_map_draws_items_only_as_results_are_taken(monkeypatch):
 
 
 def test_ordered_map_turns_a_dead_worker_into_an_oserror(monkeypatch):
-    monkeypatch.setattr(optimize, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(stages, "usable_cpus", lambda: 2)
     parent = os.getpid()
 
     def die(i):
@@ -182,6 +184,14 @@ def test_ordered_map_turns_a_dead_worker_into_an_oserror(monkeypatch):
         assert workers == 2
         run(range(4))
     assert multiprocessing.active_children() == []
+
+
+def test_stages_imports_no_dmdn_module():
+    """`dmdn.stages` stays a leaf, so every module, `analysis` included, can time its stages."""
+    tree = ast.parse(Path(stages.__file__).read_text())
+    modules = [(node.level, node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [(0, alias.name) for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    assert modules and not [m for level, m in modules if level or m.split(".")[0] == "dmdn"]
 
 
 def test_sphere_trajectory_matches_recorded_result():

@@ -1,3 +1,5 @@
+import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdn import pipeline
-from dmdn.analysis import cpsnr
+from dmdn.analysis import amplification_factor, cpsnr, noise_stats
 from dmdn.demosaic import demosaic
 from dmdn.denoise import DenoiseConfig, DenoiserId, denoise_cfa, denoise_rgb
 from dmdn.image import ColorImage, DomainError
@@ -15,7 +17,6 @@ from dmdn.noise import NoiseSpec, add_awgn, anscombe, anscombe_inverse
 from dmdn.optimize import PIPELINE_BOUNDS
 from dmdn.pipeline import (
     PARAMETERS,
-    STAGE_SECONDS,
     PipelineParams,
     PipelineSpec,
     demosaic_stage,
@@ -26,6 +27,7 @@ from dmdn.pipeline import (
     run_pipeline,
     sweep_k,
 )
+from dmdn.stages import STAGE_SECONDS
 
 from conftest import dm_key, reference_pipeline
 
@@ -316,6 +318,22 @@ def test_generalize_by_sigma_clamps():
     for sigma_star in (-5.0, 0.0):  # rescaling to no noise would zero both sigmas
         with pytest.raises(DomainError, match="sigma_star and sigma_ref must be positive"):
             generalize_by_sigma(PipelineParams(0.5, 1.0, 10.0, 30.0), 20.0, sigma_star)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_sigma_arguments_must_be_positive_and_finite(bad):
+    params = PipelineParams(0.5, 1.0, 10.0, 30.0)
+    v, truth = noisy_cfa(3)
+    for name, call in (
+        ("sigma_ref", lambda: generalize_by_sigma(params, bad, 20.0)),
+        ("sigma_star", lambda: generalize_by_sigma(params, 20.0, bad)),
+        ("sigma_star", lambda: generalize_by_image(v, bad, 20.0, params, PipelineSpec(params))),
+        ("sigma_ref", lambda: generalize_by_image(v, 20.0, bad, params, PipelineSpec(params))),
+        ("sigma", lambda: amplification_factor(noise_stats(truth, "yc1c2"), bad)),
+    ):
+        got = f"got {name}={bad}" if name != "sigma" else f"sigma must be positive and finite, got {bad}"
+        with pytest.raises(DomainError, match=re.escape(got)):
+            call()
 
 
 def test_generalize_by_image_identity_at_equal_sigma():
